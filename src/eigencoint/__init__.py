@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from . import errors
 from .linalg import EigenSystem, eigh_desc, solve_spd, symmetrize
-from .covstack import LagCovStack, as_panel, build_stack, lag_cov
+from .covstack import LagCovStack, as_panel, build_stack
 from .ranksel import (
     CointFit,
     PenaltySpec,
@@ -68,7 +68,6 @@ __all__ = [
     "LagCovStack",
     "as_panel",
     "build_stack",
-    "lag_cov",
     "CointFit",
     "PenaltySpec",
     "fit",

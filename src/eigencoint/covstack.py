@@ -80,38 +80,6 @@ class LagCovStack:
         return self.w.shape[0]
 
 
-def lag_cov(series, j: int) -> np.ndarray:
-    """Demeaned lag-``j`` sample autocovariance with divisor ``n``.
-
-    Parameters
-    ----------
-    series : array_like, shape (n, p)
-        Observation panel, rows are time points.
-    j : int
-        Lag, ``0 <= j <= n - 2``.
-
-    Returns
-    -------
-    ndarray, shape (p, p)
-        ``(1/n) * sum_{t=1}^{n-j} (y_{t+j} - ybar)(y_t - ybar)'``.
-
-    Raises
-    ------
-    LagTooLarge
-        If ``j < 0`` or ``j >= n - 1`` (the defining sum would be empty or
-        a single demeaned outer product).
-    InvalidSeries
-        Malformed panel.
-    """
-    y = as_panel(series)
-    n = y.shape[0]
-    j = int(j)
-    if j < 0 or j >= n - 1:
-        raise LagTooLarge(f"lag {j} out of range for n={n} (need 0 <= j <= n-2)")
-    yc = y - y.mean(axis=0)
-    return (yc[j:].T @ yc[: n - j]) / n
-
-
 def build_stack(series, j0: int = DEFAULT_J0) -> LagCovStack:
     """Compute ``S_0 .. S_j0`` and ``W = sum_j S_j S_j'`` for a panel.
 

@@ -17,10 +17,6 @@ class InvalidMatrix(EigencointError):
     """Input matrix is not square, or contains non-finite entries."""
 
 
-class ConvergenceFailure(EigencointError):
-    """Iterative eigensolver exceeded its sweep cap without converging."""
-
-
 class SingularMatrix(EigencointError):
     """Matrix is singular or too ill-conditioned for a stable solve.
 

@@ -407,16 +407,17 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
     ExperimentFailure
         When more than ``FAILURE_BUDGET`` of a cell's replicates fail.
     """
-    trace_tables = {}
+    trace_table = None
     if "johansen" in plan.estimators:
-        for p in sorted({t.p for t in plan.scenarios}):
-            trace_tables[p] = trace_critical_table(
-                dims=range(1, p + 1),
-                levels=(plan.level,),
-                T=plan.crit_T,
-                reps=plan.crit_reps,
-                seed=plan.master_seed,
-            )
+        # One table for every cell: each dimension has its own stream, so
+        # its rows do not depend on which other dimensions are simulated.
+        trace_table = trace_critical_table(
+            dims=range(1, max(t.p for t in plan.scenarios) + 1),
+            levels=(plan.level,),
+            T=plan.crit_T,
+            reps=plan.crit_reps,
+            seed=plan.master_seed,
+        )
     ur_tables = {}
     if "unitroot" in plan.estimators:
         for n in sorted(set(plan.n_grid)):
@@ -439,7 +440,7 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
                 "estimators": plan.estimators,
                 "j0": plan.j0,
                 "level": plan.level,
-                "trace_table": trace_tables.get(template.p),
+                "trace_table": trace_table,
                 "ur_table": ur_tables.get(n),
                 "fractional_d_min": plan.fractional_d_min,
                 "fractional_delta": plan.fractional_delta,

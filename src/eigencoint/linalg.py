@@ -1,11 +1,10 @@
 """Dense real symmetric eigendecomposition and SPD solves.
 
-The eigensolver is a cyclic Jacobi iteration written against plain float64
-ndarrays.  It is deterministic: a fixed row-major sweep order, a fixed sign
-convention on the eigenvectors, and a stable descending sort of the
-eigenvalues mean two calls on bit-identical input return bit-identical
-output.  Dimensions here are small (a few dozen at most), where Jacobi is
-both robust and fast enough.
+The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``) with
+two conventions layered on top: eigenvalues in descending order (a stable
+sort of LAPACK's ascending output) and each eigenvector signed so that its
+largest-magnitude entry is positive.  Two calls on bit-identical input
+therefore return bit-identical output.
 """
 
 from __future__ import annotations
@@ -14,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidMatrix, SingularMatrix
-
-# Convergence: off-diagonal Frobenius norm at or below this multiple of the
-# full Frobenius norm.  The sweep cap bounds the worst case; well-conditioned
-# inputs converge in well under ten sweeps.
-OFFDIAG_RTOL = 1e-13
-MAX_SWEEPS = 100
+from .errors import InvalidMatrix, SingularMatrix
 
 # SPD acceptance for solve_spd: smallest eigenvalue must exceed this multiple
 # of the largest.
@@ -63,68 +56,13 @@ def symmetrize(m) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part of ``a``.
-
-    Summed entry-by-entry rather than as ``||A||^2 - ||diag||^2``: the
-    subtraction cancels catastrophically on strongly graded matrices and
-    would report a floor of ``sqrt(eps) * ||A||`` long after the true
-    off-diagonal mass has vanished.
-    """
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray) -> None:
-    """One full cyclic Jacobi sweep over all (i, j) pairs, in place.
-
-    Rotates ``a`` towards diagonal form and accumulates the rotations in
-    ``v`` (columns converge to eigenvectors).
-    """
-    p = a.shape[0]
-    for i in range(p - 1):
-        for j in range(i + 1, p):
-            apq = a[i, j]
-            if apq == 0.0:
-                continue
-            diff = a[j, j] - a[i, i]
-            if abs(diff) > abs(apq) * 2e150:
-                # Asymptotic root of t^2 + 2*tau*t - 1 = 0 for huge tau;
-                # dividing here avoids overflow in tau and tau*tau.
-                t = apq / diff
-            elif diff == 0.0:
-                t = 1.0
-            else:
-                tau = diff / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(tau * tau + 1.0))
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-
-            row_i = a[i, :].copy()
-            row_j = a[j, :].copy()
-            a[i, :] = c * row_i - s * row_j
-            a[j, :] = s * row_i + c * row_j
-            col_i = a[:, i].copy()
-            col_j = a[:, j].copy()
-            a[:, i] = c * col_i - s * col_j
-            a[:, j] = s * col_i + c * col_j
-            a[i, j] = 0.0
-            a[j, i] = 0.0
-
-            vec_i = v[:, i].copy()
-            vec_j = v[:, j].copy()
-            v[:, i] = c * vec_i - s * vec_j
-            v[:, j] = s * vec_i + c * vec_j
-
-
 def eigh_desc(m) -> EigenSystem:
     """Eigendecompose a symmetric matrix, eigenvalues in descending order.
 
     The input is symmetrized as ``(M + M') / 2`` first.  Eigenvalue ties keep
-    the order in which the Jacobi iteration produced them (stable sort), and
-    each eigenvector is signed so that its largest-magnitude entry is
-    positive, which makes the output reproducible.
+    the order in which LAPACK returned them (stable sort), and each
+    eigenvector is signed so that its largest-magnitude entry is positive,
+    which makes the output reproducible.
 
     Parameters
     ----------
@@ -138,43 +76,19 @@ def eigh_desc(m) -> EigenSystem:
     Raises
     ------
     InvalidMatrix
-        Non-square or non-finite input.
-    ConvergenceFailure
-        The sweep cap was reached before the off-diagonal mass fell below
-        the convergence threshold.
+        Non-square, empty or non-finite input.
     """
     a = symmetrize(m)
-    p = a.shape[0]
-    if p == 0:
+    if a.shape[0] == 0:
         raise InvalidMatrix("empty matrix")
-    v = np.eye(p)
-    tol = OFFDIAG_RTOL * np.linalg.norm(a)
-
-    converged = _offdiag_norm(a) <= tol
-    sweeps = 0
-    while not converged and sweeps < MAX_SWEEPS:
-        _jacobi_sweep(a, v)
-        sweeps += 1
-        converged = _offdiag_norm(a) <= tol
-    if not converged:
-        raise ConvergenceFailure(
-            f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
-        )
-    # One polish sweep once converged: quadratic convergence pushes the
-    # remaining off-diagonal mass to the roundoff floor, so the small end of
-    # the spectrum is not polluted by a just-under-threshold residual.
-    if sweeps < MAX_SWEEPS and _offdiag_norm(a) > 0.0:
-        _jacobi_sweep(a, v)
-
-    values = np.diag(a).copy()
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = v[:, order]
+    vectors = vectors[:, order]
     # Sign convention: largest-magnitude entry of each column positive.
-    for k in range(p):
-        lead = np.argmax(np.abs(vectors[:, k]))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
     return EigenSystem(values=values, vectors=vectors)
 
 

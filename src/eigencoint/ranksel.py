@@ -23,7 +23,7 @@ the spectral gap above it is many orders of magnitude wide.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,29 +71,22 @@ class CointFit:
     ----------
     eigen : EigenSystem
         Spectrum of ``W``, descending, with paired orthonormal eigenvectors.
-    a_hat : ndarray, shape (p, p)
-        Orthogonal transform; column ``k`` is the eigenvector of the
-        ``k``-th largest eigenvalue.  The trailing ``r`` columns span the
-        estimated cointegration space once a rank ``r`` is chosen.
+        ``eigen.vectors`` is the orthogonal transform ``A_hat``: column
+        ``k`` is the eigenvector of the ``k``-th largest eigenvalue, and the
+        trailing ``r`` columns span the estimated cointegration space once a
+        rank ``r`` is chosen.
     x_hat : ndarray, shape (n, p)
-        Transformed panel, row ``t`` equal to ``a_hat' y_t``.
+        Transformed panel, row ``t`` equal to ``A_hat' y_t``.
     stack : LagCovStack
         The lag covariances and ``W`` the fit was computed from.
     n : int
         Sample size of the panel.
-    r_hat : int or None
-        Rank from the ratio rule, once :func:`with_ranks` has run it.
-    r_tilde : int or None
-        Rank from the information criterion, likewise.
     """
 
     eigen: EigenSystem
-    a_hat: np.ndarray
     x_hat: np.ndarray
     stack: LagCovStack
     n: int
-    r_hat: Optional[int] = None
-    r_tilde: Optional[int] = None
 
     @property
     def p(self) -> int:
@@ -113,8 +106,7 @@ def fit(series, j0: int = DEFAULT_J0) -> CointFit:
     Returns
     -------
     CointFit
-        With rank fields unset; apply :func:`rank_ratio` / :func:`rank_ic`
-        (or :func:`with_ranks`) to choose ranks.
+        Apply :func:`rank_ratio` / :func:`rank_ic` to choose ranks.
     """
     y = as_panel(series)
     stack = build_stack(y, j0)
@@ -126,7 +118,6 @@ def fit(series, j0: int = DEFAULT_J0) -> CointFit:
     eigen = EigenSystem(values=mags[order], vectors=raw.vectors[:, order])
     return CointFit(
         eigen=eigen,
-        a_hat=eigen.vectors,
         x_hat=y @ eigen.vectors,
         stack=stack,
         n=y.shape[0],
@@ -143,6 +134,15 @@ def _validate_spectrum(eigen: EigenSystem) -> np.ndarray:
             "the quadratic covariance matrix is rank deficient"
         )
     return values
+
+
+def _count_below(values: np.ndarray, threshold: float) -> int:
+    """Largest ``j`` in ``1..p`` with ``lambda_{p+1-j} <= threshold``, at least 1."""
+    r = 1
+    for j in range(2, values.size + 1):
+        if values[values.size - j] <= threshold:
+            r = j
+    return r
 
 
 def rank_ratio(eigen: EigenSystem, n: int) -> int:
@@ -173,12 +173,7 @@ def rank_ratio(eigen: EigenSystem, n: int) -> int:
         If ``lambda_p <= 0``.
     """
     values = _validate_spectrum(eigen)
-    threshold = float(n) * values[-1]
-    r = 1
-    for j in range(2, values.size + 1):
-        if values[values.size - j] <= threshold:
-            r = j
-    return r
+    return _count_below(values, float(n) * values[-1])
 
 
 def rank_ic(eigen: EigenSystem, omega: float) -> int:
@@ -268,28 +263,11 @@ def rank_ratio_fractional(
             RuntimeWarning,
             stacklevel=2,
         )
-    r = 1
-    for j in range(2, values.size + 1):
-        if values[values.size - j] <= threshold:
-            r = j
-    return r
-
-
-def with_ranks(
-    fit_result: CointFit,
-    penalty_spec: PenaltySpec = PenaltySpec("omega2"),
-) -> CointFit:
-    """Return a copy of ``fit_result`` with both rank estimates filled in."""
-    omega = penalty(penalty_spec, fit_result.n, fit_result.eigen.values[-1])
-    return replace(
-        fit_result,
-        r_hat=rank_ratio(fit_result.eigen, fit_result.n),
-        r_tilde=rank_ic(fit_result.eigen, omega),
-    )
+    return _count_below(values, threshold)
 
 
 def split(fit_result: CointFit, r: int):
-    """Split ``a_hat`` into leading and trailing blocks at rank ``r``.
+    """Split ``eigen.vectors`` into leading and trailing blocks at rank ``r``.
 
     Parameters
     ----------
@@ -312,5 +290,5 @@ def split(fit_result: CointFit, r: int):
     r = int(r)
     if r < 0 or r > p:
         raise InvalidRank(f"rank {r} out of range for p={p}")
-    a = fit_result.a_hat
+    a = fit_result.eigen.vectors
     return a[:, : p - r].copy(), a[:, p - r:].copy()

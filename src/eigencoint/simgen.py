@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
+from .baselines import derive_stream
 from .errors import InvalidOrder, NonstationaryAR, SingularMixing
 from .subspace import true_b2
 
@@ -135,6 +135,10 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     ar = np.atleast_1d(np.asarray(ar, dtype=float))
     ma = np.atleast_1d(np.asarray(ma, dtype=float))
     _check_stationary_ar(ar)
+    # Imported here: scipy.signal dominates the package's import time, and
+    # only simulation needs it.
+    from scipy import signal
+
     eps = rng.standard_normal(n)
     core = signal.lfilter(
         np.concatenate(([1.0], ma)), np.concatenate(([1.0], -ar)), eps
@@ -398,21 +402,17 @@ class GeneratedPanel:
     true_r: int
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
 def _draw_mixing(spec: ScenarioSpec) -> np.ndarray:
     kind = spec.mixing_law["kind"]
     if kind == "identity":
         return np.eye(spec.p)
     if kind == "orthogonal":
-        g = _stream(spec.seed, 2, 0).standard_normal((spec.p, spec.p))
+        g = derive_stream(spec.seed, 2, 0).standard_normal((spec.p, spec.p))
         q, rmat = np.linalg.qr(g)
         return q * np.sign(np.diag(rmat))
     low, high = spec.mixing_law["low"], spec.mixing_law["high"]
     for attempt in range(MIXING_RETRIES):
-        a = _stream(spec.seed, 2, attempt).uniform(low, high, size=(spec.p, spec.p))
+        a = derive_stream(spec.seed, 2, attempt).uniform(low, high, size=(spec.p, spec.p))
         if np.linalg.cond(a) <= MIXING_COND_LIMIT:
             return a
     raise SingularMixing(
@@ -434,8 +434,8 @@ def gen_panel(spec: ScenarioSpec) -> GeneratedPanel:
     NonstationaryAR, InvalidOrder
         Propagated from the component generators.
     """
-    coeff_rng = _stream(spec.seed, 0)
-    innov_rng = _stream(spec.seed, 1)
+    coeff_rng = derive_stream(spec.seed, 0)
+    innov_rng = derive_stream(spec.seed, 1)
 
     columns = []
     for block in spec.nonstationary_blocks:

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -364,3 +367,18 @@ def test_crit_rejects_bad_arguments(tmp_path, capsys):
     assert "reps >= 1000" in capsys.readouterr().err
     assert main(crit_args(out, dim="x")) == 2
     assert "bad --dim" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # analyze never simulates, so importing the CLI must not pay for the
+    # simulation stack's scipy.signal import.
+    import eigencoint
+
+    src = str(Path(eigencoint.__file__).resolve().parents[1])
+    code = "import sys, eigencoint.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -14,7 +14,6 @@ from eigencoint.ranksel import (
     rank_ratio,
     rank_ratio_fractional,
     split,
-    with_ranks,
 )
 
 
@@ -62,11 +61,11 @@ def test_fit_invariants():
     y = np.cumsum(rng.standard_normal((120, 4)), axis=0)
     f = fit(y, 5)
     assert f.n == 120
-    assert f.r_hat is None and f.r_tilde is None
-    assert np.max(np.abs(f.a_hat.T @ f.a_hat - np.eye(4))) <= 1e-10
+    a = f.eigen.vectors
+    assert np.max(np.abs(a.T @ a - np.eye(4))) <= 1e-10
     assert np.all(np.diff(f.eigen.values) <= 0.0)
     assert np.all(f.eigen.values >= 0.0)
-    assert_array_equal(f.x_hat, y @ f.a_hat)
+    assert_array_equal(f.x_hat, y @ a)
     assert f.stack.j0 == 5
 
 
@@ -75,19 +74,8 @@ def test_fit_deterministic():
     y = np.cumsum(rng.standard_normal((80, 3)), axis=0)
     f1, f2 = fit(y, 4), fit(y, 4)
     assert_array_equal(f1.eigen.values, f2.eigen.values)
-    assert_array_equal(f1.a_hat, f2.a_hat)
+    assert_array_equal(f1.eigen.vectors, f2.eigen.vectors)
     assert_array_equal(f1.x_hat, f2.x_hat)
-
-
-def test_with_ranks_returns_updated_copy():
-    rng = np.random.default_rng(37)
-    f = fit(rng.standard_normal((50, 2)), 2)
-    g = with_ranks(f, PenaltySpec("omega2"))
-    assert g.r_hat == rank_ratio(f.eigen, f.n)
-    omega = penalty(PenaltySpec("omega2"), f.n, f.eigen.values[-1])
-    assert g.r_tilde == rank_ic(f.eigen, omega)
-    assert f.r_hat is None and f.r_tilde is None
-    assert_array_equal(g.a_hat, f.a_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +229,18 @@ def test_split_boundaries():
     f = fit(rng.standard_normal((40, 3)), 3)
     a1, a2 = split(f, 0)
     assert a2.shape == (3, 0)
-    assert_array_equal(a1, f.a_hat)
+    assert_array_equal(a1, f.eigen.vectors)
     a1, a2 = split(f, 3)
     assert a1.shape == (3, 0)
-    assert_array_equal(a2, f.a_hat)
+    assert_array_equal(a2, f.eigen.vectors)
 
 
 def test_split_last_column():
     rng = np.random.default_rng(47)
     f = fit(rng.standard_normal((40, 3)), 3)
     a1, a2 = split(f, 1)
-    assert_array_equal(a2, f.a_hat[:, 2:])
-    assert_array_equal(a1, f.a_hat[:, :2])
+    assert_array_equal(a2, f.eigen.vectors[:, 2:])
+    assert_array_equal(a1, f.eigen.vectors[:, :2])
     assert np.max(np.abs(a1.T @ a2)) <= 1e-10
 
 
