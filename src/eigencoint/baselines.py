@@ -39,6 +39,7 @@ the count of rejections estimates the cointegration rank.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,6 +56,10 @@ from .linalg import eigh_desc, solve_spd, symmetrize
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
 _MU_CEILING = 1.0 - 1e-12
+#: Float64 elements per batched draw in the critical-value simulators.  Larger
+#: budgets bought no speed and raised peak memory (2**19 added about 40 MB
+#: to a dims 1..12 trace table).
+_CHUNK_FLOATS = 2**15
 
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
@@ -142,17 +147,34 @@ class CriticalTable:
         return cls.from_dict(json.loads(text))
 
 
+def _batch_sizes(total: int, row: int):
+    """Split ``total`` draws of ``row`` floats into chunks of about ``_CHUNK_FLOATS``."""
+    m = max(1, _CHUNK_FLOATS // max(row, 1))
+    for start in range(0, total, m):
+        yield min(m, total - start)
+
+
 def _trace_stat_sample(dim: int, T: int, reps: int, rng) -> np.ndarray:
-    """Seeded sample of the discretized trace functional."""
+    """Seeded sample of the discretized trace functional.
+
+    Repetitions are drawn and scored in ``(m, T, dim)`` chunks.  The stream
+    is consumed in the same order as one ``(T, dim)`` draw per repetition,
+    and every batched step (cumulative sum, demeaning, stacked matmul,
+    solve, trace) performs the same floating-point operations per
+    repetition, so the sample is bitwise that of the one-at-a-time loop.
+    """
     stats = np.empty(reps)
-    for k in range(reps):
-        eps = rng.standard_normal((T, dim))
-        x = np.cumsum(eps, axis=0)
-        xlag = np.vstack([np.zeros((1, dim)), x[:-1]])
-        xc = xlag - xlag.mean(axis=0)
-        a = eps.T @ xc
-        b = xc.T @ xc
-        stats[k] = np.trace(a @ np.linalg.solve(b, a.T))
+    done = 0
+    for m in _batch_sizes(reps, T * dim):
+        eps = rng.standard_normal((m, T, dim))
+        xlag = np.zeros_like(eps)
+        np.cumsum(eps[:, :-1], axis=1, out=xlag[:, 1:])
+        xc = xlag - xlag.mean(axis=1, keepdims=True)
+        a = eps.transpose(0, 2, 1) @ xc
+        b = xc.transpose(0, 2, 1) @ xc
+        prod = a @ np.linalg.solve(b, a.transpose(0, 2, 1))
+        stats[done:done + m] = np.trace(prod, axis1=1, axis2=2)
+        done += m
     return stats
 
 
@@ -199,20 +221,48 @@ def trace_critical_table(
     Each dimension draws from the stream ``derive_stream(seed, dim)``, so a
     table built for dims 1..8 agrees exactly with one built for dims 1..3
     under the same seed.  Values increase with dimension at fixed level.
+
+    Every dimension is validated before any simulation starts.  The
+    dimensions are then simulated concurrently on one thread per usable CPU
+    (at most one per dimension, largest first); the batched kernel spends
+    its time in NumPy calls that release the interpreter lock.  Because each
+    dimension owns its stream, the values do not depend on the thread count
+    or on the order in which dimensions finish.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     dims = tuple(int(d) for d in dims)
     levels = tuple(float(lv) for lv in levels)
-    values = np.empty((len(dims), len(levels)))
-    for i, dim in enumerate(dims):
+    for dim in dims:
         _check_sim_args(dim, T, reps)
+    quantiles = [1.0 - lv for lv in levels]
+
+    def simulate(dim: int) -> np.ndarray:
         sample = _trace_stat_sample(dim, T, reps, derive_stream(seed, dim))
-        values[i] = np.quantile(sample, [1.0 - lv for lv in levels])
+        return np.quantile(sample, quantiles)
+
+    values = np.empty((len(dims), len(levels)))
+    if dims:
+        workers = min(len(dims), _usable_cpus())
+        largest_first = sorted(range(len(dims)), key=dims.__getitem__, reverse=True)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {i: pool.submit(simulate, dims[i]) for i in largest_first}
+            for i, future in futures.items():
+                values[i] = future.result()
     return CriticalTable(
         dims=dims,
         levels=levels,
         values=values,
         meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": "trace"},
     )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +371,9 @@ def unit_root_stat(x, bandwidth: Optional[int] = None) -> float:
 
     Large negative values reject the unit-root null; the null distribution
     is simulated by :func:`unit_root_critical_table`.  The statistic is
-    exactly invariant to scaling the series by a positive constant.
+    exactly invariant to scaling the series by a positive constant.  This
+    is :func:`_unit_root_stats` on a single row, the one implementation of
+    the formula.
 
     Parameters
     ----------
@@ -332,35 +384,51 @@ def unit_root_stat(x, bandwidth: Optional[int] = None) -> float:
 
     Raises
     ------
+    InvalidSeries
+        Fewer than 20 observations, or non-finite entries.
     DegenerateComponent
         Constant series.
     """
     x = np.asarray(x, dtype=float).ravel()
-    n = x.size
+    return float(_unit_root_stats(x[None, :], bandwidth)[0])
+
+
+def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
+    """:func:`unit_root_stat` of every row of ``xs``, shape ``(m, n)``.
+
+    Row dot products are ``(m, 1, n) @ (m, n, 1)`` matmuls, which reduce
+    each row exactly as a 1-D ``w @ v`` does, so a row's statistic is
+    bitwise the same whatever batch it is scored in.
+    """
+    n = xs.shape[1]
     if n < 20:
         raise InvalidSeries(f"need at least 20 observations, got {n}")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(xs)):
         raise InvalidSeries("series contains non-finite entries")
-    if np.ptp(x) == 0.0:
+    if np.any(np.ptp(xs, axis=1) == 0.0):
         raise DegenerateComponent("series is constant")
-    ylag = x[:-1]
-    ynow = x[1:]
+
+    def rowdot(u, v):
+        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+    ylag = xs[:, :-1]
+    ynow = xs[:, 1:]
     t_eff = n - 1
-    w = ylag - ylag.mean()
-    ss_w = float(w @ w)
-    if ss_w == 0.0:
+    w = ylag - ylag.mean(axis=1, keepdims=True)
+    ss_w = rowdot(w, w)
+    if np.any(ss_w == 0.0):
         raise DegenerateComponent("lagged series is constant")
-    rho = float(w @ ynow) / ss_w
-    resid = (ynow - ynow.mean()) - rho * w
+    rho = rowdot(w, ynow) / ss_w
+    resid = (ynow - ynow.mean(axis=1, keepdims=True)) - rho[:, None] * w
 
     q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
     if q < 0:
         raise ValueError(f"bandwidth must be non-negative, got {q}")
-    gamma0 = float(resid @ resid) / t_eff
+    gamma0 = rowdot(resid, resid) / t_eff
     lam2 = gamma0
     for j in range(1, min(q, t_eff - 1) + 1):
-        gj = float(resid[j:] @ resid[:-j]) / t_eff
-        lam2 += 2.0 * (1.0 - j / (q + 1.0)) * gj
+        gj = rowdot(resid[:, j:], resid[:, :-j]) / t_eff
+        lam2 = lam2 + 2.0 * (1.0 - j / (q + 1.0)) * gj
     return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 
@@ -370,16 +438,29 @@ def unit_root_critical_table(
     """Simulate the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the same length ``n`` as the series
-    to be tested; the table stores lower-tail (``level``) quantiles.
+    to be tested; the table stores lower-tail (``level``) quantiles.  Walks
+    are drawn from the one stream ``derive_stream(seed, 1)`` in ``(m, n)``
+    chunks and scored by :func:`_unit_root_stats`; the stream order and the
+    per-walk arithmetic are those of one walk at a time, so the values are
+    bitwise those of a per-walk loop.
+
+    Raises
+    ------
+    ValueError
+        ``reps < 1000``.
+    InvalidSeries
+        ``n < 20``, as :func:`unit_root_stat` would raise.
     """
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
     levels = tuple(float(lv) for lv in levels)
     rng = derive_stream(seed, 1)
     sample = np.empty(reps)
-    for k in range(reps):
-        walk = np.cumsum(rng.standard_normal(n))
-        sample[k] = unit_root_stat(walk)
+    done = 0
+    for m in _batch_sizes(reps, n):
+        walks = np.cumsum(rng.standard_normal((m, n)), axis=1)
+        sample[done:done + m] = _unit_root_stats(walks)
+        done += m
     values = np.quantile(sample, levels)[None, :]
     return CriticalTable(
         dims=(1,),

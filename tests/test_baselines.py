@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from eigencoint import baselines
 from eigencoint.baselines import (
     CriticalTable,
     bartlett_bandwidth,
@@ -163,6 +164,45 @@ def test_trace_table_subset_rows_agree_bitwise(trace_table):
 
 def test_trace_table_records_meta(trace_table):
     assert trace_table.meta == {"T": 1000, "reps": 2000, "seed": 0, "statistic": "trace"}
+
+
+def reference_trace_sample(dim, T, reps, rng):
+    """The one-repetition-at-a-time loop the batched sampler replaced."""
+    stats = np.empty(reps)
+    for k in range(reps):
+        eps = rng.standard_normal((T, dim))
+        x = np.cumsum(eps, axis=0)
+        xlag = np.vstack([np.zeros((1, dim)), x[:-1]])
+        xc = xlag - xlag.mean(axis=0)
+        a = eps.T @ xc
+        b = xc.T @ xc
+        stats[k] = np.trace(a @ np.linalg.solve(b, a.T))
+    return stats
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_batched_trace_sample_matches_loop_bitwise(dim):
+    T, reps = 100, 1000
+    assert reps % (baselines._CHUNK_FLOATS // (T * dim)) != 0  # a ragged last chunk
+    expected = reference_trace_sample(dim, T, reps, derive_stream(7, dim))
+    got = baselines._trace_stat_sample(dim, T, reps, derive_stream(7, dim))
+    assert_array_equal(got, expected)
+
+
+def test_threaded_trace_table_matches_loop_bitwise():
+    levels = (0.01, 0.05, 0.1)
+    table = trace_critical_table(dims=(4, 1, 2), levels=levels, T=100, reps=1000, seed=9)
+    for i, dim in enumerate((4, 1, 2)):
+        sample = reference_trace_sample(dim, 100, 1000, derive_stream(9, dim))
+        assert_array_equal(table.values[i], np.quantile(sample, [1 - lv for lv in levels]))
+
+
+def test_trace_table_validates_every_dim_before_simulating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(baselines, "_trace_stat_sample", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="dim >= 1"):
+        trace_critical_table(dims=(1, 0), T=100, reps=1000)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +373,55 @@ def test_unit_root_table_lower_tail_ordering():
     table = unit_root_critical_table(200, levels=(0.05, 0.5), reps=1000, seed=4)
     assert table.values[0, 0] < table.values[0, 1]
     assert table.values[0, 0] < -5.0
+
+
+def reference_unit_root_stat(x, bandwidth=None):
+    """The scalar formula as a plain 1-D computation."""
+    n = x.size
+    ylag = x[:-1]
+    ynow = x[1:]
+    t_eff = n - 1
+    w = ylag - ylag.mean()
+    ss_w = float(w @ w)
+    rho = float(w @ ynow) / ss_w
+    resid = (ynow - ynow.mean()) - rho * w
+    q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
+    gamma0 = float(resid @ resid) / t_eff
+    lam2 = gamma0
+    for j in range(1, min(q, t_eff - 1) + 1):
+        gj = float(resid[j:] @ resid[:-j]) / t_eff
+        lam2 += 2.0 * (1.0 - j / (q + 1.0)) * gj
+    return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
+
+
+@pytest.mark.parametrize("n", [777, 1000])
+def test_batched_unit_root_table_matches_loop_bitwise(n):
+    assert 1000 % (baselines._CHUNK_FLOATS // n) != 0  # a ragged last chunk
+    levels = (0.01, 0.05, 0.1, 0.5)
+    rng = derive_stream(6, 1)
+    sample = [reference_unit_root_stat(np.cumsum(rng.standard_normal(n))) for _ in range(1000)]
+    table = unit_root_critical_table(n, levels=levels, reps=1000, seed=6)
+    assert_array_equal(table.values[0], np.quantile(sample, levels))
+
+
+@pytest.mark.parametrize("bandwidth", [None, 0, 3, 60])
+def test_batched_unit_root_stat_matches_scalar_formula(bandwidth):
+    rng = derive_stream(55)
+    rows = np.vstack([
+        np.cumsum(rng.standard_normal(120)),
+        rng.standard_normal(120),
+        np.cumsum(np.cumsum(rng.standard_normal(120))),
+    ])
+    batched = baselines._unit_root_stats(rows, bandwidth)
+    for row, stat in zip(rows, batched):
+        expected = reference_unit_root_stat(row, bandwidth)
+        assert stat == expected
+        assert unit_root_stat(row, bandwidth) == expected
+
+
+def test_unit_root_table_rejects_short_series():
+    with pytest.raises(InvalidSeries, match="at least 20"):
+        unit_root_critical_table(19, reps=1000)
 
 
 def test_sequential_rank_full_on_noise_panel(ur_table):
