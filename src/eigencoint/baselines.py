@@ -396,40 +396,42 @@ def unit_root_stat(x, bandwidth: Optional[int] = None) -> float:
 def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
     """:func:`unit_root_stat` of every row of ``xs``, shape ``(m, n)``.
 
-    Row dot products are ``(m, 1, n) @ (m, n, 1)`` matmuls, which reduce
-    each row exactly as a 1-D ``w @ v`` does, so a row's statistic is
-    bitwise the same whatever batch it is scored in.
+    The checks and the demeaning run on the whole batch.  Dot products and
+    the scalar tail run row by row with the operations of a 1-D series,
+    because batching them costs more in NumPy calls than one series spends
+    on its arithmetic.  Either way a row's statistic is bitwise the same
+    whatever batch it is scored in.
     """
     n = xs.shape[1]
     if n < 20:
         raise InvalidSeries(f"need at least 20 observations, got {n}")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise InvalidSeries("series contains non-finite entries")
-    if np.any(np.ptp(xs, axis=1) == 0.0):
+    if (xs.max(axis=1) == xs.min(axis=1)).any():
         raise DegenerateComponent("series is constant")
-
-    def rowdot(u, v):
-        return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
     ylag = xs[:, :-1]
     ynow = xs[:, 1:]
     t_eff = n - 1
     w = ylag - ylag.mean(axis=1, keepdims=True)
-    ss_w = rowdot(w, w)
-    if np.any(ss_w == 0.0):
+    ynow_c = ynow - ynow.mean(axis=1, keepdims=True)
+    ss_w = [float(row @ row) for row in w]
+    if 0.0 in ss_w:
         raise DegenerateComponent("lagged series is constant")
-    rho = rowdot(w, ynow) / ss_w
-    resid = (ynow - ynow.mean(axis=1, keepdims=True)) - rho[:, None] * w
 
     q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
     if q < 0:
         raise ValueError(f"bandwidth must be non-negative, got {q}")
-    gamma0 = rowdot(resid, resid) / t_eff
-    lam2 = gamma0
-    for j in range(1, min(q, t_eff - 1) + 1):
-        gj = rowdot(resid[:, j:], resid[:, :-j]) / t_eff
-        lam2 = lam2 + 2.0 * (1.0 - j / (q + 1.0)) * gj
-    return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
+    weights = [2.0 * (1.0 - j / (q + 1.0)) for j in range(1, min(q, t_eff - 1) + 1)]
+    stats = []
+    for s, w_row, y_row, yc_row in zip(ss_w, w, ynow, ynow_c):
+        rho = float(w_row @ y_row) / s
+        resid = yc_row - rho * w_row
+        gamma0 = float(resid @ resid) / t_eff
+        lam2 = gamma0
+        for j, wj in enumerate(weights, start=1):
+            lam2 += wj * (float(resid[j:] @ resid[:-j]) / t_eff)
+        stats.append(t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * s / t_eff**2))
+    return np.array(stats)
 
 
 def unit_root_critical_table(

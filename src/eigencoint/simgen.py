@@ -101,53 +101,13 @@ def _check_stationary_ar(ar: np.ndarray) -> None:
         raise NonstationaryAR(f"AR coefficients {tuple(ar)} are not stationary")
 
 
-def _arma_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Zero-state ARMA filter ``a(B) y = b(B) x`` with ``a[0] == 1``.
-
-    Reproduces ``scipy.signal.lfilter(b, a, x)`` bit for bit by performing
-    the same floating-point operations.  Without an AR part ``lfilter`` is
-    the truncated full convolution ``np.convolve(b, x)``, whose sums are
-    not the recursion's for MA orders of 3 and more, so that path is kept.
-    Otherwise it is the direct-form-II transposed recursion over
-    coefficient lists zero-padded to one length ``k``:
-    ``y = z_0 + b_0 x``, ``z_i = z_{i+1} + x b_{i+1} - y a_{i+1}``, and
-    ``z_{k-2} = x b_{k-1} - y a_{k-1}``.
-    """
-    if a.size == 1:
-        return np.convolve(b, x)[: x.size]
-    k = max(a.size, b.size)
-    bs = b.tolist() + [0.0] * (k - b.size)
-    as_ = a.tolist() + [0.0] * (k - a.size)
-    b0, b_last, a_last = bs[0], bs[-1], as_[-1]
-    y = []
-    if k == 2:
-        # First order, as in every preset design: the one delay as a local
-        # variable runs about 1.5x faster than the list-based loop below.
-        z = 0.0
-        for xt in x.tolist():
-            yt = z + b0 * xt
-            z = xt * b_last - yt * a_last
-            y.append(yt)
-        return np.array(y)
-    middle = [(i, bs[i + 1], as_[i + 1]) for i in range(k - 2)]
-    z = [0.0] * (k - 1)
-    for xt in x.tolist():
-        yt = z[0] + b0 * xt
-        for i, bi, ai in middle:
-            z[i] = z[i + 1] + xt * bi - yt * ai
-        z[-1] = xt * b_last - yt * a_last
-        y.append(yt)
-    return np.array(y)
-
-
 def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     """Simulate a truncated ARIMA(len(ar), d, len(ma)) path of length ``n``.
 
     The stationary ARMA core follows the recursion
     ``v_t = sum_i ar_i v_{t-i} + eps_t + sum_i ma_i eps_{t-i}`` with zero
     pre-sample values, then is integrated ``d`` times by cumulative
-    summation.  The recursion is :func:`_arma_filter`, bitwise equal to
-    ``scipy.signal.lfilter`` without needing SciPy.
+    summation.
 
     Parameters
     ----------
@@ -175,8 +135,14 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     ar = np.atleast_1d(np.asarray(ar, dtype=float))
     ma = np.atleast_1d(np.asarray(ma, dtype=float))
     _check_stationary_ar(ar)
+    # Imported here: scipy.signal dominates the package's import time, and
+    # only simulation needs it.
+    from scipy import signal
+
     eps = rng.standard_normal(n)
-    core = _arma_filter(np.concatenate(([1.0], ma)), np.concatenate(([1.0], -ar)), eps)
+    core = signal.lfilter(
+        np.concatenate(([1.0], ma)), np.concatenate(([1.0], -ar)), eps
+    )
     for _ in range(int(d)):
         core = np.cumsum(core)
     return core

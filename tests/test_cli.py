@@ -382,26 +382,3 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
-
-
-def test_simulation_runs_without_scipy():
-    # SciPy is a test-only dependency: generating panels and running a
-    # unit-root plan must not import any part of it.
-    import eigencoint
-
-    src = str(Path(eigencoint.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        "from eigencoint.harness import preset_plan, preset_template, run_plan\n"
-        "from eigencoint.simgen import gen_panel\n"
-        "gen_panel(preset_template('example2', 6, 2).spec_for(300, 1))\n"
-        "run_plan(preset_plan('example2', reps=2, cells=((6, 2),), n_grid=(300,),\n"
-        "                     estimators=('unitroot',), ur_reps=1000))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"

@@ -147,30 +147,6 @@ def test_ma1_matches_hand_recursion():
                     rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("ma_order", [0, 1, 2, 3])
-@pytest.mark.parametrize("ar_order", [0, 1, 2, 3])
-def test_arma_filter_matches_scipy_lfilter_bitwise(ar_order, ma_order):
-    from scipy.signal import lfilter
-
-    for trial in range(3):
-        coeff_rng = make_stream(1000 * ar_order + 100 * ma_order + trial)
-        # |ar| sums below 0.9, so every drawn AR polynomial is stationary
-        ar = coeff_rng.uniform(-0.3, 0.3, ar_order)
-        ma = coeff_rng.uniform(-0.95, 0.95, ma_order)
-        for d in (0, 1, 2):
-            for n in (1, 2, 777):
-                seed = 17 * trial + 5 * d + n
-                expected = lfilter(
-                    np.concatenate(([1.0], ma)),
-                    np.concatenate(([1.0], -ar)),
-                    make_stream(seed).standard_normal(n),
-                )
-                for _ in range(d):
-                    expected = np.cumsum(expected)
-                got = gen_arima(n, ar=ar, d=d, ma=ma, rng=make_stream(seed))
-                assert_array_equal(got, expected)
-
-
 def test_same_stream_is_deterministic():
     a = gen_arima(200, ar=(0.3,), d=1, ma=(0.5,), rng=make_stream(42))
     b = gen_arima(200, ar=(0.3,), d=1, ma=(0.5,), rng=make_stream(42))
