@@ -13,6 +13,8 @@ scenario-major over the expanded scenario x n grid) draws its panel from the
 64-bit seed produced by ``SeedSequence(master_seed, spawn_key=(ci, k))``.
 Reports are therefore bit-identical across runs and worker counts, and any
 single number can be regenerated from ``(master_seed, ci, k)`` alone.
+Replicates are generated in chunks of consecutive ``k`` (one
+:func:`~eigencoint.simgen.gen_panel` batch each); chunking changes no value.
 
 Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 ``johansen``, ``unitroot``, ``fractional_ratio``.
@@ -20,6 +22,7 @@ Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import time
@@ -61,6 +64,10 @@ ESTIMATORS = (
 #: A cell fails (and the run aborts) when more than this fraction of its
 #: replicates error out.
 FAILURE_BUDGET = 0.05
+
+#: Innovation floats (``reps x p x n``) one chunk of replicates may hold:
+#: the replicates of a chunk are generated together, in one recursion.
+_CHUNK_FLOATS = 2**20
 
 _IC_VARIANTS = {"ic_omega1": "omega1", "ic_omega2": "omega2", "ic_omega3": "omega3"}
 
@@ -295,16 +302,43 @@ def _orthonormal_leading(directions: np.ndarray, r: int) -> np.ndarray:
     return np.linalg.qr(directions[:, :r])[0]
 
 
-def _run_replicate(ctx: dict, k: int) -> list:
-    """All estimator records for replicate ``k`` of one cell."""
+def _run_chunk(ctx: dict, ks: range) -> list:
+    """All estimator records for replicates ``ks`` of one cell, in order.
+
+    The chunk's panels are generated together; if that raises, each
+    replicate regenerates its own panel, so an error lands on the replicate
+    that caused it.
+    """
+    specs = [
+        ctx["template"].spec_for(
+            ctx["n"], _replicate_seed(ctx["master_seed"], ctx["cell_index"], k)
+        )
+        for k in ks
+    ]
+    try:
+        panels = gen_panel(specs)
+    except EigencointError:
+        panels = [None] * len(specs)
+    return [
+        rec
+        for k, spec, panel in zip(ks, specs, panels)
+        for rec in _run_replicate(ctx, k, spec, panel)
+    ]
+
+
+def _run_replicate(ctx: dict, k: int, spec: ScenarioSpec, panel) -> list:
+    """All estimator records for replicate ``k``, whose panel ``spec`` gives.
+
+    ``panel`` is the already generated panel, or None to generate it here.
+    """
     template: ScenarioTemplate = ctx["template"]
     n = ctx["n"]
     base = dict(
         scenario=template.name, p=template.p, r=template.r, n=n, replicate=k
     )
-    seed = _replicate_seed(ctx["master_seed"], ctx["cell_index"], k)
     try:
-        panel = gen_panel(template.spec_for(n, seed))
+        if panel is None:
+            panel = gen_panel(spec)
         fitted = fit(panel.y, ctx["j0"])
     except EigencointError as exc:
         return [
@@ -445,15 +479,18 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
                 "fractional_d_min": plan.fractional_d_min,
                 "fractional_delta": plan.fractional_delta,
             }
+            # Chunks stay within the float budget and give every worker a share.
+            size = max(1, min(
+                _CHUNK_FLOATS // (template.p * n), -(-plan.reps // plan.parallelism)
+            ))
+            tasks = [
+                (ctx, range(lo, min(lo + size, plan.reps)))
+                for lo in range(0, plan.reps, size)
+            ]
             start = time.perf_counter()
-            if pool is not None:
-                nested = pool.starmap(
-                    _run_replicate, [(ctx, k) for k in range(plan.reps)]
-                )
-            else:
-                nested = [_run_replicate(ctx, k) for k in range(plan.reps)]
+            mapper = pool.starmap if pool is not None else itertools.starmap
+            records = [rec for group in mapper(_run_chunk, tasks) for rec in group]
             runtime = time.perf_counter() - start
-            records = [rec for group in nested for rec in group]
             all_records.extend(records)
             for est in plan.estimators:
                 all_cells.append(

@@ -14,11 +14,16 @@ Conventions
 * Innovations are i.i.d. standard normal.
 * Randomness is driven by counter-based Philox streams derived from the
   scenario seed via ``SeedSequence(seed, spawn_key=...)``: spawn key
-  ``(0,)`` draws coefficients, ``(1,)`` draws innovations (consumed one
-  latent component at a time, in column order: nonstationary blocks first,
-  then the stationary block), and ``(2, k)`` draws the ``k``-th attempt at
-  a mixing matrix.  Identical specs therefore produce bit-identical panels,
-  and distinct replicates may run in parallel on independent streams.
+  ``(0,)`` draws coefficients, ``(1,)`` draws innovations, and ``(2, k)``
+  draws the ``k``-th attempt at a mixing matrix.  The innovations are one
+  ``(p, n)`` standard-normal block, row ``i`` feeding latent column ``i``
+  (nonstationary blocks first, then the stationary block); these are the
+  values that ``p`` successive length-``n`` draws would give.  Identical
+  specs therefore produce bit-identical panels, and distinct replicates may
+  run in parallel on independent streams.
+* :func:`gen_panel` also takes a batch of specs that differ only in seed
+  and filters every latent column of the batch in one recursion; each
+  panel is bit-identical to generating its spec alone.
 
 Coefficient laws are small dicts so scenario specs serialize to JSON:
 ``{"kind": "uniform", "low": a, "high": b}`` draws one coefficient per
@@ -30,7 +35,7 @@ part.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -135,17 +140,37 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     ar = np.atleast_1d(np.asarray(ar, dtype=float))
     ma = np.atleast_1d(np.asarray(ma, dtype=float))
     _check_stationary_ar(ar)
-    # Imported here: scipy.signal dominates the package's import time, and
-    # only simulation needs it.
-    from scipy import signal
-
-    eps = rng.standard_normal(n)
-    core = signal.lfilter(
-        np.concatenate(([1.0], ma)), np.concatenate(([1.0], -ar)), eps
-    )
+    b = np.zeros((max(ar.size, ma.size, 1) + 1, 1))
+    a = np.zeros_like(b)
+    b[0] = a[0] = 1.0
+    b[1 : ma.size + 1, 0] = ma
+    a[1 : ar.size + 1, 0] = -ar
+    core = _arma_filter(b, a, rng.standard_normal((n, 1)))[:, 0]
     for _ in range(int(d)):
         core = np.cumsum(core)
     return core
+
+
+def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Filter each column of ``eps`` through its own ARMA polynomials.
+
+    A time-major direct-form-II-transposed recursion from an all-zero
+    state: ``eps`` has shape ``(n, m)``; ``b`` and ``a``, shape ``(k, m)``
+    with ``k >= 2``, hold each column's MA and AR polynomials (``a[0] == 1``,
+    AR coefficients negated) zero-padded to the common length.  Each step
+    takes the operations of ``scipy.signal.lfilter``'s loop in the same
+    order, so column ``j`` equals ``lfilter(b[:, j], a[:, j], eps[:, j])``
+    bit for bit.
+    """
+    b, a = list(b), list(a)
+    z = list(np.zeros((len(b) - 1, eps.shape[1])))
+    out = np.empty_like(eps)
+    for x, y in zip(eps, out):
+        np.add(z[0], b[0] * x, out=y)
+        for i in range(len(z) - 1):
+            np.subtract(z[i + 1] + x * b[i + 1], y * a[i + 1], out=z[i])
+        np.subtract(x * b[-1], y * a[-1], out=z[-1])
+    return out
 
 
 def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
@@ -421,44 +446,98 @@ def _draw_mixing(spec: ScenarioSpec) -> np.ndarray:
     )
 
 
-def gen_panel(spec: ScenarioSpec) -> GeneratedPanel:
-    """Generate the panel a :class:`ScenarioSpec` describes.
+def _latent_coeffs(spec: ScenarioSpec):
+    """Per-column MA and negated AR coefficients of one spec, 0 where absent.
 
-    Deterministic given the spec (including its seed); see the module
-    docstring for the exact stream layout.
+    Every latent column has at most one coefficient of each kind.
 
     Raises
     ------
+    NonstationaryAR
+        A drawn AR coefficient is not stationary.
+    """
+    rng = derive_stream(spec.seed, 0)
+    recipes = [(b.count, b.ar_law, b.ma_law) for b in spec.nonstationary_blocks]
+    if spec.r > 0:
+        recipes.append((spec.r, spec.stationary_law, None))
+    ma = np.zeros(spec.p)
+    neg_ar = np.zeros(spec.p)
+    lo = 0
+    for count, ar_law, ma_law in recipes:
+        ar_block = _draw_coeffs(ar_law, count, rng)
+        ma_block = _draw_coeffs(ma_law, count, rng)
+        if ar_block is not None:
+            for i in range(count):
+                _check_stationary_ar(ar_block[i : i + 1])
+            neg_ar[lo : lo + count] = -ar_block
+        if ma_block is not None:
+            ma[lo : lo + count] = ma_block
+        lo += count
+    return ma, neg_ar
+
+
+def _design(spec: ScenarioSpec) -> tuple:
+    """Every field of ``spec`` but its seed."""
+    return tuple(getattr(spec, f.name) for f in fields(spec) if f.name != "seed")
+
+
+def gen_panel(specs):
+    """Generate the panel a :class:`ScenarioSpec` describes, or a batch of them.
+
+    Deterministic given the spec (including its seed); see the module
+    docstring for the exact stream layout.  Given a sequence of specs that
+    differ only in ``seed``, returns the list of their panels, each
+    bit-identical to generating that spec alone; the batch's latent columns
+    go through one :func:`_arma_filter` recursion.
+
+    Raises
+    ------
+    ValueError
+        The specs of a batch differ in more than ``seed``.
     SingularMixing
         All redraw attempts for the mixing matrix were ill-conditioned.
-    NonstationaryAR, InvalidOrder
-        Propagated from the component generators.
+    NonstationaryAR
+        A drawn AR coefficient is not stationary.
     """
-    coeff_rng = derive_stream(spec.seed, 0)
-    innov_rng = derive_stream(spec.seed, 1)
+    single = isinstance(specs, ScenarioSpec)
+    batch = [specs] if single else list(specs)
+    if not batch:
+        return []
+    spec = batch[0]
+    if any(_design(other) != _design(spec) for other in batch[1:]):
+        raise ValueError("specs of one batch may differ only in seed")
+    n, p, reps = spec.n, spec.p, len(batch)
 
-    columns = []
+    b = np.ones((2, reps, p))
+    a = np.ones_like(b)
+    eps = np.empty((n, reps, p))
+    for j, member in enumerate(batch):
+        b[1, j], a[1, j] = _latent_coeffs(member)
+        eps[:, j] = derive_stream(member.seed, 1).standard_normal((p, n)).T
+    x = _arma_filter(b.reshape(2, -1), a.reshape(2, -1), eps.reshape(n, -1))
+    x = x.reshape(n, reps, p)
+
+    lo = 0
     for block in spec.nonstationary_blocks:
-        ar = _draw_coeffs(block.ar_law, block.count, coeff_rng)
-        ma = _draw_coeffs(block.ma_law, block.count, coeff_rng)
-        for i in range(block.count):
-            ar_i = () if ar is None else (ar[i],)
-            ma_i = () if ma is None else (ma[i],)
-            if _is_integer_order(block.d):
-                columns.append(
-                    gen_arima(spec.n, ar=ar_i, d=int(block.d), ma=ma_i, rng=innov_rng)
-                )
-            else:
-                columns.append(
-                    gen_arfima(spec.n, float(block.d), ar=ar_i, ma=ma_i, rng=innov_rng)
-                )
-    if spec.r > 0:
-        phis = _draw_coeffs(spec.stationary_law, spec.r, coeff_rng)
-        for i in range(spec.r):
-            columns.append(gen_arima(spec.n, ar=(phis[i],), d=0, ma=(), rng=innov_rng))
+        cols = slice(lo, lo + block.count)
+        lo += block.count
+        if _is_integer_order(block.d):
+            for _ in range(int(block.d)):
+                x[:, :, cols] = np.cumsum(x[:, :, cols], axis=0)
+        else:
+            coeffs = frac_coeffs(block.d, n - 1)
+            for j in range(reps):
+                for c in range(cols.start, cols.stop):
+                    x[:, j, c] = np.convolve(coeffs, x[:, j, c])[:n]
 
-    x = np.column_stack(columns) if columns else np.empty((spec.n, 0))
-    mixing = _draw_mixing(spec)
-    y = x @ mixing.T
-    b2 = true_b2(mixing, spec.r)
-    return GeneratedPanel(y=y, mixing=mixing, b2=b2, x=x, true_r=spec.r)
+    panels = []
+    for j, member in enumerate(batch):
+        xj = np.ascontiguousarray(x[:, j])
+        mixing = _draw_mixing(member)
+        panels.append(
+            GeneratedPanel(
+                y=xj @ mixing.T, mixing=mixing, b2=true_b2(mixing, member.r),
+                x=xj, true_r=member.r,
+            )
+        )
+    return panels[0] if single else panels

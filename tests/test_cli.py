@@ -370,15 +370,24 @@ def test_crit_rejects_bad_arguments(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # analyze never simulates, so importing the CLI must not pay for the
-    # simulation stack's scipy.signal import.
+    # SciPy is a test dependency only: neither importing the CLI nor
+    # simulating panels and running a plan may load any of it.
     import eigencoint
 
     src = str(Path(eigencoint.__file__).resolve().parents[1])
-    code = "import sys, eigencoint.cli; print('scipy.signal' in sys.modules)"
+    code = """
+import sys, eigencoint.cli
+print('scipy.signal' in sys.modules)
+from eigencoint.harness import preset_plan, preset_template, run_plan
+from eigencoint.simgen import gen_panel
+gen_panel(preset_template('example3', 6, 2, 2).spec_for(300, 0))
+run_plan(preset_plan('example2', reps=2, cells=((6, 2),), n_grid=(300,),
+                     estimators=('ratio', 'unitroot'), ur_reps=1000))
+print(sorted(name for name in sys.modules if name.startswith('scipy')))
+"""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eigencoint.errors import ExperimentFailure
+from eigencoint import harness
+from eigencoint.errors import ExperimentFailure, SingularMixing
 from eigencoint.harness import (
     ESTIMATORS,
     PRESET_CELLS,
@@ -186,6 +187,41 @@ def test_report_independent_of_worker_count():
     assert serial.replicates == parallel.replicates
     assert emit_report(serial) == emit_report(parallel)
     assert emit_replicates(serial) == emit_replicates(parallel)
+
+
+def test_mixing_failure_lands_on_its_own_replicate(monkeypatch):
+    from eigencoint import simgen
+
+    plan = small_plan(reps=20)
+    clean = run_plan(plan).replicates
+    bad_seed = replicate_seed(plan.master_seed, 0, 3)
+    draw_mixing = simgen._draw_mixing
+
+    def failing_draw(spec):
+        if spec.seed == bad_seed:
+            raise SingularMixing("forced")
+        return draw_mixing(spec)
+
+    monkeypatch.setattr(simgen, "_draw_mixing", failing_draw)
+    patched = run_plan(plan).replicates
+    assert len(patched) == len(clean)
+    for before, after in zip(clean, patched):
+        if after.replicate == 3:
+            assert (after.r_est, after.dist, after.error) == (None, None, "SingularMixing")
+        else:
+            assert after == before
+
+
+@pytest.mark.parametrize(
+    "budget", [1, 3 * 4 * 200, 2**62], ids=["single", "uneven", "whole-cell"]
+)
+def test_report_independent_of_chunk_budget(monkeypatch, budget):
+    plan = small_plan(reps=7, n_grid=(150, 200), estimators=("ratio", "ic_omega2"))
+    default = run_plan(plan)
+    monkeypatch.setattr(harness, "_CHUNK_FLOATS", budget)
+    chunked = run_plan(plan)
+    assert emit_report(chunked) == emit_report(default)
+    assert emit_replicates(chunked) == emit_replicates(default)
 
 
 def test_all_estimators_run_in_one_plan():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eigencoint.errors import InvalidOrder, NonstationaryAR, SingularMixing
+from eigencoint.harness import PRESET_CELLS, preset_template
 from eigencoint.simgen import (
     DEFAULT_MIXING_LAW,
     ProcessBlock,
@@ -145,6 +146,29 @@ def test_ma1_matches_hand_recursion():
     expected = eps + 0.7 * np.concatenate(([0.0], eps[:-1]))
     assert_allclose(gen_arima(40, ma=(0.7,), rng=make_stream(13)), expected,
                     rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", range(4))
+@pytest.mark.parametrize("k", range(4))
+def test_gen_arima_matches_lfilter_bitwise(k, q):
+    # MA-only filters (k == 0) take lfilter's convolution path, the others
+    # its direct-form-II-transposed loop; both must agree bit for bit.
+    from scipy.signal import lfilter
+
+    coeffs = make_stream(100 + 4 * k + q)
+    ar = coeffs.uniform(-0.3, 0.3, k)  # sum |ar| < 1: stationary
+    ma = coeffs.uniform(-0.95, 0.95, q)
+    for d in (0, 1, 2):
+        for n in (1, 2, 777):
+            expected = lfilter(
+                np.concatenate(([1.0], ma)),
+                np.concatenate(([1.0], -ar)),
+                make_stream(n).standard_normal(n),
+            )
+            for _ in range(d):
+                expected = np.cumsum(expected)
+            got = gen_arima(n, ar=ar, d=d, ma=ma, rng=make_stream(n))
+            assert got.tobytes() == expected.tobytes(), (d, n)
 
 
 def test_same_stream_is_deterministic():
@@ -502,3 +526,58 @@ def test_grid_laws_run_deterministically():
     b = gen_panel(spec)
     assert_array_equal(a.y, b.y)
     assert np.all(np.isfinite(a.y))
+
+
+FRACTIONAL_SPEC = ScenarioSpec(
+    p=5,
+    r=1,
+    n=300,
+    stationary_law=UNIFORM_STATIONARY,
+    nonstationary_blocks=(
+        dict(ARIMA121_BLOCK, count=2, d=1.4),
+        {"count": 1, "d": 2},
+        {"count": 1, "d": 0.7, "ma_law": {"kind": "grid", "values": [0.4]}},
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [preset_template(name, *cells[-1]) for name, cells in PRESET_CELLS.items()]
+    + [None],
+    ids=list(PRESET_CELLS) + ["fractional"],
+)
+def test_batch_equals_panels_generated_one_by_one(template):
+    seeds = (0, 1, 2**63 + 5)
+    if template is None:
+        specs = [ScenarioSpec.from_dict(dict(FRACTIONAL_SPEC.to_dict(), seed=s))
+                 for s in seeds]
+    else:
+        specs = [template.spec_for(300, s) for s in seeds]
+    batch = gen_panel(specs)
+    assert len(batch) == len(specs)
+    for spec, panel in zip(specs, batch):
+        alone = gen_panel(spec)
+        for field in ("y", "mixing", "b2", "x"):
+            got, expected = getattr(panel, field), getattr(alone, field)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), field
+        assert panel.true_r == alone.true_r
+    assert gen_panel([]) == []
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": 301},
+        {"stationary_law": {"kind": "uniform", "low": -0.5, "high": 0.5}},
+        {"mixing_law": {"kind": "orthogonal"}},
+        {"nonstationary_blocks": (dict(ARIMA121_BLOCK, d=1),)},
+    ],
+)
+def test_batch_rejects_specs_differing_beyond_seed(change):
+    spec = example2_spec(seed=1)
+    other = ScenarioSpec.from_dict(dict(spec.to_dict(), seed=2, **change))
+    gen_panel([spec, ScenarioSpec.from_dict(dict(spec.to_dict(), seed=2))])
+    with pytest.raises(ValueError, match="differ only in seed"):
+        gen_panel([spec, other])
