@@ -1,7 +1,7 @@
 # Desk-scale benchmark run: a subset of the six-dimensional design at
 # 100 replicates per cell, comparing the ratio rule with the information
-# criterion.  Finishes in a few seconds on four workers and prints the
-# same CSV the `eigencoint simulate` command writes.
+# criterion.  Finishes in a few seconds and prints the same CSV the
+# `eigencoint simulate` command writes.
 #
 # Run from the repository root:  python3 demos/benchmark_small.py
 
@@ -15,7 +15,6 @@ def main():
         cells=((6, 2), (6, 4)),
         n_grid=(300, 1000),
         estimators=("ratio", "ic_omega2"),
-        parallelism=4,
     )
     report = run_plan(plan)
 

@@ -178,9 +178,13 @@ def _trace_stat_sample(dim: int, T: int, reps: int, rng) -> np.ndarray:
     return stats
 
 
-def _check_sim_args(dim: int, T: int, reps: int) -> None:
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
+def _check_sim_args(dims, levels, T: int, reps: int) -> None:
+    for dim in dims:
+        if dim < 1:
+            raise ValueError(f"need dim >= 1, got {dim}")
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {level}")
     if T < 100:
         raise ValueError(f"need T >= 100, got {T}")
     if reps < 1000:
@@ -206,9 +210,7 @@ def sim_trace_critical(dim: int, level: float, T: int, reps: int, rng) -> float:
     -------
     float
     """
-    _check_sim_args(dim, T, reps)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_sim_args((dim,), (level,), T, reps)
     sample = _trace_stat_sample(dim, T, reps, rng)
     return float(np.quantile(sample, 1.0 - level))
 
@@ -222,19 +224,21 @@ def trace_critical_table(
     table built for dims 1..8 agrees exactly with one built for dims 1..3
     under the same seed.  Values increase with dimension at fixed level.
 
-    Every dimension is validated before any simulation starts.  The
-    dimensions are then simulated concurrently on one thread per usable CPU
-    (at most one per dimension, largest first); the batched kernel spends
-    its time in NumPy calls that release the interpreter lock.  Because each
-    dimension owns its stream, the values do not depend on the thread count
-    or on the order in which dimensions finish.
+    Every dimension and level, and the seed, are validated before any
+    simulation starts.  The dimensions are then simulated concurrently on
+    one thread per usable CPU (at most one per dimension, largest first);
+    the batched kernel spends its time in NumPy calls that release the
+    interpreter lock.  Because each dimension owns its stream, the values do
+    not depend on the thread count or on the order in which dimensions
+    finish.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     dims = tuple(int(d) for d in dims)
     levels = tuple(float(lv) for lv in levels)
-    for dim in dims:
-        _check_sim_args(dim, T, reps)
+    _check_sim_args(dims, levels, T, reps)
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     quantiles = [1.0 - lv for lv in levels]
 
     def simulate(dim: int) -> np.ndarray:

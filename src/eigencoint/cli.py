@@ -6,11 +6,14 @@ Four commands::
                         [--penalty omega2] [--level 0.05] [--seed 0] [--out report.json]
     eigencoint simulate (--plan plan.json | --preset example2) [--reps 200]
                         [--cells 6,2;10,4] [--n 300,1000] [--estimators ratio,...]
-                        [--seed 0] [--parallelism 1] [--out report.csv]
-                        [--format csv|json] [--replicates-out reps.csv]
+                        [--seed 0] [--out report.csv] [--format csv|json]
+                        [--replicates-out reps.csv]
     eigencoint crit     --dim 1..3 [--level 0.05] [--T 1000] [--reps 6000]
                         [--seed 0] --out cache.json
     eigencoint version
+
+``simulate --parallelism N`` is ignored (every replicate runs in this
+process); it is kept so existing command lines and plans still load.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  All
 numeric work is delegated to the library modules; this layer only parses
@@ -58,6 +61,8 @@ class AnalyzeConfig:
             raise ValueError(f"need j0 >= 0, got {self.j0}")
         if not 0.0 < self.level < 0.5:
             raise ValueError(f"need level in (0, 0.5), got {self.level}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
         if not self.methods:
             raise ValueError("need at least one method")
         for m in self.methods:
@@ -269,15 +274,16 @@ def _parse_dims(text: str):
 
 
 def cmd_crit(args) -> int:
-    if args.reps < 1000:
-        raise _InputError(f"need reps >= 1000, got {args.reps}")
     try:
         dims = _parse_dims(args.dim)
     except ValueError as exc:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
-    table = trace_critical_table(
-        dims=dims, levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed
-    )
+    try:
+        table = trace_critical_table(
+            dims=dims, levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
     if os.path.exists(args.out):
         try:
             with open(args.out, encoding="utf-8") as fh:
@@ -323,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", help="sample-size subset, e.g. '300,1000'")
     ps.add_argument("--estimators", help="comma list, e.g. 'ratio,ic_omega2'")
     ps.add_argument("--seed", type=int, help="master seed (default 0)")
-    ps.add_argument("--parallelism", type=int, help="worker processes (default 1)")
+    ps.add_argument("--parallelism", type=int, help="ignored; kept so existing "
+                    "command lines and plans still load")
     ps.add_argument("--out", default="", help="report path (default "
                     "simulation_report.<format>)")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -11,9 +11,9 @@ metric handles width mismatches).
 Reproducibility: replicate ``k`` of cell ``ci`` (cells enumerated
 scenario-major over the expanded scenario x n grid) draws its panel from the
 64-bit seed produced by ``SeedSequence(master_seed, spawn_key=(ci, k))``.
-Reports are therefore bit-identical across runs and worker counts, and any
-single number can be regenerated from ``(master_seed, ci, k)`` alone.
-Replicates are generated in chunks of consecutive ``k`` (one
+Reports are therefore bit-identical across runs, and any single number can
+be regenerated from ``(master_seed, ci, k)`` alone.  Every replicate runs in
+the calling process, in chunks of consecutive ``k`` (one
 :func:`~eigencoint.simgen.gen_panel` batch each); chunking changes no value.
 
 Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
@@ -22,9 +22,7 @@ Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 
 from __future__ import annotations
 
-import itertools
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -153,8 +151,11 @@ class ExperimentPlan:
     reps : int
         Replicates per cell.
     parallelism : int
-        Worker processes; the report does not depend on this.
+        Ignored: every replicate runs in the calling process.  Kept, and
+        still validated as ``>= 1``, so that existing plans and command
+        lines still load.
     master_seed : int
+        Non-negative.
     level : float
         Test size for the johansen/unitroot estimators.
     j0 : int
@@ -198,6 +199,8 @@ class ExperimentPlan:
             raise ValueError(f"need reps >= 1, got {self.reps}")
         if self.parallelism < 1:
             raise ValueError(f"need parallelism >= 1, got {self.parallelism}")
+        if self.master_seed < 0:
+            raise ValueError(f"need master_seed >= 0, got {self.master_seed}")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}; expected {ESTIMATORS}")
@@ -302,18 +305,17 @@ def _orthonormal_leading(directions: np.ndarray, r: int) -> np.ndarray:
     return np.linalg.qr(directions[:, :r])[0]
 
 
-def _run_chunk(ctx: dict, ks: range) -> list:
-    """All estimator records for replicates ``ks`` of one cell, in order.
+def _run_chunk(plan, cell, trace_table, ur_table, ks: range) -> list:
+    """All estimator records for replicates ``ks`` of ``cell``, in order.
 
+    ``cell`` is one ``(ci, template, n)`` entry of :meth:`ExperimentPlan.cells`.
     The chunk's panels are generated together; if that raises, each
     replicate regenerates its own panel, so an error lands on the replicate
     that caused it.
     """
+    ci, template, n = cell
     specs = [
-        ctx["template"].spec_for(
-            ctx["n"], _replicate_seed(ctx["master_seed"], ctx["cell_index"], k)
-        )
-        for k in ks
+        template.spec_for(n, _replicate_seed(plan.master_seed, ci, k)) for k in ks
     ]
     try:
         panels = gen_panel(specs)
@@ -322,35 +324,38 @@ def _run_chunk(ctx: dict, ks: range) -> list:
     return [
         rec
         for k, spec, panel in zip(ks, specs, panels)
-        for rec in _run_replicate(ctx, k, spec, panel)
+        for rec in _run_replicate(
+            plan, cell, trace_table, ur_table, k, spec, panel
+        )
     ]
 
 
-def _run_replicate(ctx: dict, k: int, spec: ScenarioSpec, panel) -> list:
+def _run_replicate(
+    plan, cell, trace_table, ur_table, k: int, spec: ScenarioSpec, panel
+) -> list:
     """All estimator records for replicate ``k``, whose panel ``spec`` gives.
 
     ``panel`` is the already generated panel, or None to generate it here.
     """
-    template: ScenarioTemplate = ctx["template"]
-    n = ctx["n"]
+    _, template, n = cell
     base = dict(
         scenario=template.name, p=template.p, r=template.r, n=n, replicate=k
     )
     try:
         if panel is None:
             panel = gen_panel(spec)
-        fitted = fit(panel.y, ctx["j0"])
+        fitted = fit(panel.y, plan.j0)
     except EigencointError as exc:
         return [
             ReplicateRecord(
                 **base, estimator=est, r_est=None, dist=None,
                 error=type(exc).__name__,
             )
-            for est in ctx["estimators"]
+            for est in plan.estimators
         ]
 
     records = []
-    for est in ctx["estimators"]:
+    for est in plan.estimators:
         try:
             if est == "ratio":
                 r_est = rank_ratio(fitted.eigen, n)
@@ -362,20 +367,18 @@ def _run_replicate(ctx: dict, k: int, spec: ScenarioSpec, panel) -> list:
                 r_est = rank_ic(fitted.eigen, omega)
                 a2 = split(fitted, r_est)[1]
             elif est == "fractional_ratio":
-                d_min = ctx["fractional_d_min"]
+                d_min = plan.fractional_d_min
                 if d_min is None:
                     d_min = template.d_min
                 r_est = rank_ratio_fractional(
-                    fitted.eigen, n, d_min, ctx["fractional_delta"]
+                    fitted.eigen, n, d_min, plan.fractional_delta
                 )
                 a2 = split(fitted, r_est)[1]
             elif est == "unitroot":
-                r_est = sequential_unit_root(
-                    fitted.x_hat, ctx["level"], ctx["ur_table"]
-                )
+                r_est = sequential_unit_root(fitted.x_hat, plan.level, ur_table)
                 a2 = split(fitted, r_est)[1]
             else:  # johansen
-                res = johansen_trace(panel.y, ctx["trace_table"], ctx["level"])
+                res = johansen_trace(panel.y, trace_table, plan.level)
                 r_est = res.selected_r
                 a2 = _orthonormal_leading(res.directions, r_est)
             dist = dist_d1(a2, panel.b2)
@@ -434,7 +437,10 @@ def _aggregate_cell(
 
 
 def run_plan(plan: ExperimentPlan) -> ExperimentReport:
-    """Execute a plan; deterministic given the plan, whatever the parallelism.
+    """Execute a plan in this process; deterministic given the plan.
+
+    Each cell's replicates run in chunks of at most :data:`_CHUNK_FLOATS`
+    innovation floats.  ``plan.parallelism`` has no effect.
 
     Raises
     ------
@@ -461,45 +467,25 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
 
     all_cells = []
     all_records = []
-    pool = None
-    try:
-        if plan.parallelism > 1:
-            pool = multiprocessing.get_context("spawn").Pool(plan.parallelism)
-        for ci, template, n in plan.cells():
-            ctx = {
-                "template": template,
-                "n": n,
-                "cell_index": ci,
-                "master_seed": plan.master_seed,
-                "estimators": plan.estimators,
-                "j0": plan.j0,
-                "level": plan.level,
-                "trace_table": trace_table,
-                "ur_table": ur_tables.get(n),
-                "fractional_d_min": plan.fractional_d_min,
-                "fractional_delta": plan.fractional_delta,
-            }
-            # Chunks stay within the float budget and give every worker a share.
-            size = max(1, min(
-                _CHUNK_FLOATS // (template.p * n), -(-plan.reps // plan.parallelism)
-            ))
-            tasks = [
-                (ctx, range(lo, min(lo + size, plan.reps)))
-                for lo in range(0, plan.reps, size)
-            ]
-            start = time.perf_counter()
-            mapper = pool.starmap if pool is not None else itertools.starmap
-            records = [rec for group in mapper(_run_chunk, tasks) for rec in group]
-            runtime = time.perf_counter() - start
-            all_records.extend(records)
-            for est in plan.estimators:
-                all_cells.append(
-                    _aggregate_cell(plan, template, n, est, records, runtime)
-                )
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for cell in plan.cells():
+        _, template, n = cell
+        ur_table = ur_tables.get(n)
+        size = max(1, _CHUNK_FLOATS // (template.p * n))
+        start = time.perf_counter()
+        records = [
+            rec
+            for lo in range(0, plan.reps, size)
+            for rec in _run_chunk(
+                plan, cell, trace_table, ur_table,
+                range(lo, min(lo + size, plan.reps)),
+            )
+        ]
+        runtime = time.perf_counter() - start
+        all_records.extend(records)
+        for est in plan.estimators:
+            all_cells.append(
+                _aggregate_cell(plan, template, n, est, records, runtime)
+            )
     return ExperimentReport(
         plan=plan, cells=tuple(all_cells), replicates=tuple(all_records)
     )
@@ -675,6 +661,7 @@ def preset_plan(
     ``cells``, ``n_grid``, and ``estimators`` default to the full benchmark
     grids (see :data:`PRESET_CELLS` etc.) and accept subsets for cheaper
     runs; further :class:`ExperimentPlan` fields pass through ``overrides``.
+    ``parallelism`` is accepted and has no effect, as on the plan.
     """
     if name not in PRESET_CELLS:
         raise ValueError(f"unknown preset {name!r}; expected {tuple(PRESET_CELLS)}")

@@ -114,6 +114,13 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     pre-sample values, then is integrated ``d`` times by cumulative
     summation.
 
+    Each call runs :func:`_arma_filter`'s per-step Python loop on one
+    column, so its cost is about ``n`` small NumPy calls whatever the
+    series (milliseconds at ``n = 2500``, far above a compiled filter).  A
+    caller that needs many series should batch them through
+    :func:`gen_panel`, which filters every column of a batch in one
+    recursion.
+
     Parameters
     ----------
     n : int
@@ -182,6 +189,10 @@ def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
     the iterated-cumsum path instead, which the all-ones coefficient
     identity makes the exact same series — so ``d=1`` here reproduces
     ``gen_arima(..., d=1, ...)`` on the same stream bit-for-bit.
+
+    Like :func:`gen_arima`, each call filters one column with
+    :func:`_arma_filter`'s per-step loop; generate many series in one
+    :func:`gen_panel` batch instead.
 
     Parameters
     ----------

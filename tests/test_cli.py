@@ -369,6 +369,58 @@ def test_crit_rejects_bad_arguments(tmp_path, capsys):
     assert "bad --dim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crit", "--dim", "1", "--T", "50"],
+        ["crit", "--dim", "0"],
+        ["crit", "--dim", "1", "--level", "1.5"],
+        ["crit", "--dim", "1", "--level", "0"],
+        ["crit", "--dim", "1", "--seed", "-1"],
+        ["simulate", "--preset", "example2", "--cells", "6,2", "--n", "300",
+         "--reps", "2", "--estimators", "ratio", "--seed", "-1"],
+        ["analyze", "--input", str(COINT_PAIR), "--methods", "ratio,unitroot",
+         "--seed", "-1"],
+    ],
+    ids=["crit-T", "crit-dim", "crit-level-high", "crit-level-zero",
+         "crit-seed", "simulate-seed", "analyze-seed"],
+)
+def test_bad_numeric_argument_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.file"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_analyze_report_keys_are_pinned(tmp_path):
+    # The benchmark's analyze check requires exactly these top-level keys;
+    # new analyze output belongs in a separate file.
+    out = tmp_path / "pair.json"
+    argv = ["analyze", "--input", str(COINT_PAIR), "--methods", "ratio,ic,unitroot"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())) == {
+        "input", "n", "p", "j0", "eigenvalues", "penalty", "level", "ranks",
+        "selected_r", "a2",
+    }
+
+
+def test_bench_trace_layer_targets_resolve():
+    # A traced benchmark run exits early when a wrapped target is missing.
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    targets = [t for group in trace.LAYERS.values() for t in group]
+    assert targets
+    for target in targets:
+        module_name, attr = target.rsplit(".", 1)
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), target
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # SciPy is a test dependency only: neither importing the CLI nor
     # simulating panels and running a plan may load any of it.
