@@ -10,13 +10,14 @@
 #
 # Run from the repository root:  python3 demos/fractional_orders.py
 
+from dataclasses import replace
+
 import numpy as np
 
 from eigencoint import frac_coeffs, gen_arfima, rank_ratio, rank_ratio_fractional
 from eigencoint.baselines import derive_stream
-from eigencoint.harness import ScenarioTemplate
 from eigencoint.ranksel import fit
-from eigencoint.simgen import gen_panel
+from eigencoint.simgen import ScenarioSpec, gen_panel
 
 # Longer lag windows stabilize the eigenvalue split when memory is weak.
 J0 = 20
@@ -24,8 +25,8 @@ D = 0.7
 N = 1000
 
 
-def weak_memory_template():
-    return ScenarioTemplate(
+def weak_memory_design():
+    return ScenarioSpec(
         name="frac_weak",
         p=4,
         r=1,
@@ -52,8 +53,8 @@ def main():
     # One seeded panel: 3 components with memory d=0.7 plus 1 stationary,
     # mixed through a dense random matrix.  The eigenvalue gap is there,
     # but it is far smaller than n.
-    template = weak_memory_template()
-    panel = gen_panel(template.spec_for(n=N, seed=5))
+    design = weak_memory_design()
+    panel = gen_panel(replace(design, n=N, seed=5))
     eigen = fit(panel.y, J0).eigen
     lam = eigen.values
     print(f"\nweak-memory panel (d={D}, true r=1): eigenvalues {np.round(lam, 2)}")
@@ -69,8 +70,8 @@ def main():
     # several stationary directions, where the plain rule is the better
     # finite-sample choice; calibration to d_min is what buys validity here.
     hits_plain = hits_frac = 0
-    for seed in range(30):
-        eigen = fit(gen_panel(template.spec_for(n=N, seed=seed)).y, J0).eigen
+    for panel in gen_panel([replace(design, n=N, seed=seed) for seed in range(30)]):
+        eigen = fit(panel.y, J0).eigen
         hits_plain += rank_ratio(eigen, N) == 1
         hits_frac += rank_ratio_fractional(eigen, N, d_min=D, delta=0.35) == 1
     print(f"\ncorrect-rank count over 30 panels: plain {hits_plain}/30, fractional {hits_frac}/30")

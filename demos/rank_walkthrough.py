@@ -4,6 +4,8 @@
 #
 # Run from the repository root:  python3 demos/rank_walkthrough.py
 
+from dataclasses import replace
+
 import numpy as np
 
 from eigencoint import (
@@ -32,8 +34,7 @@ def main():
     # Built-in benchmark design: 6 observed series that mix 4 independent
     # random walks with 2 stationary AR(1) components, through a dense
     # random matrix.  The true cointegration rank is therefore 2.
-    template = preset_template("example2", 6, 2)
-    panel = gen_panel(template.spec_for(n=N, seed=SEED))
+    panel = gen_panel(replace(preset_template("example2", 6, 2), n=N, seed=SEED))
     print(f"panel: n={panel.y.shape[0]}, p={panel.y.shape[1]}, true rank r={panel.true_r}")
 
     fitted = fit(panel.y, J0)

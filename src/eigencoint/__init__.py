@@ -49,7 +49,6 @@ from .baselines import (
 from .harness import (
     ExperimentPlan,
     ExperimentReport,
-    ScenarioTemplate,
     emit_replicates,
     emit_report,
     load_plan,
@@ -95,7 +94,6 @@ __all__ = [
     "unit_root_stat",
     "ExperimentPlan",
     "ExperimentReport",
-    "ScenarioTemplate",
     "emit_replicates",
     "emit_report",
     "load_plan",

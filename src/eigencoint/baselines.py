@@ -187,6 +187,10 @@ def _check_sim_args(dims, levels, T: int, reps: int) -> None:
             raise ValueError(f"level must lie in (0, 1), got {level}")
     if T < 100:
         raise ValueError(f"need T >= 100, got {T}")
+    _check_reps(reps)
+
+
+def _check_reps(reps: int) -> None:
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
 
@@ -457,8 +461,7 @@ def unit_root_critical_table(
     InvalidSeries
         ``n < 20``, as :func:`unit_root_stat` would raise.
     """
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
+    _check_reps(reps)
     levels = tuple(float(lv) for lv in levels)
     rng = derive_stream(seed, 1)
     sample = np.empty(reps)

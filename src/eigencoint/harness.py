@@ -1,12 +1,14 @@
 """Seeded Monte Carlo experiment runner over scenario/sample-size grids.
 
-A plan is a grid: scenario templates x sample sizes, a set of estimators, a
-replicate count, and a master seed.  Each replicate of each cell generates a
-panel on its own derived stream, fits the eigenanalysis pipeline once, then
-applies every requested estimator; tallies are relative frequencies of
-correct rank and distance statistics of the estimated cointegration space
-from the true one (always computed with the *estimated* rank — the distance
-metric handles width mismatches).
+A plan is a grid: scenarios x sample sizes, a set of estimators, a
+replicate count, and a master seed.  A scenario is a
+:class:`~eigencoint.simgen.ScenarioSpec` with ``n`` left open.  Each
+replicate of each cell closes it with ``dataclasses.replace`` (the cell's
+``n`` and the replicate's own derived seed), generates that panel, fits the
+eigenanalysis pipeline once, then applies every requested estimator;
+tallies are relative frequencies of correct rank and distance statistics of
+the estimated cointegration space from the true one (always computed with
+the *estimated* rank — the distance metric handles width mismatches).
 
 Reproducibility: replicate ``k`` of cell ``ci`` (cells enumerated
 scenario-major over the expanded scenario x n grid) draws its panel from the
@@ -24,13 +26,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .baselines import (
     CriticalTable,
+    _check_reps,
+    _check_sim_args,
     johansen_trace,
     trace_critical_table,
     unit_root_critical_table,
@@ -46,7 +50,7 @@ from .ranksel import (
     rank_ratio_fractional,
     split,
 )
-from .simgen import DEFAULT_MIXING_LAW, ProcessBlock, ScenarioSpec, gen_panel
+from .simgen import ProcessBlock, ScenarioSpec, gen_panel
 from .subspace import dist_d1
 
 ESTIMATORS = (
@@ -71,80 +75,16 @@ _IC_VARIANTS = {"ic_omega1": "omega1", "ic_omega2": "omega2", "ic_omega3": "omeg
 
 
 @dataclass(frozen=True)
-class ScenarioTemplate:
-    """A scenario design with the sample size and seed left open.
-
-    ``spec_for(n, seed)`` closes it into a :class:`ScenarioSpec`.
-    """
-
-    name: str
-    p: int
-    r: int
-    stationary_law: Optional[dict] = None
-    nonstationary_blocks: tuple = ()
-    mixing_law: dict = field(default_factory=lambda: dict(DEFAULT_MIXING_LAW))
-
-    def __post_init__(self):
-        blocks = tuple(
-            b if isinstance(b, ProcessBlock) else ProcessBlock.from_dict(b)
-            for b in self.nonstationary_blocks
-        )
-        object.__setattr__(self, "nonstationary_blocks", blocks)
-        # Validate the design once with placeholder n/seed.
-        self.spec_for(n=10, seed=0)
-
-    def spec_for(self, n: int, seed: int) -> ScenarioSpec:
-        return ScenarioSpec(
-            p=self.p,
-            r=self.r,
-            n=n,
-            stationary_law=self.stationary_law,
-            nonstationary_blocks=self.nonstationary_blocks,
-            mixing_law=self.mixing_law,
-            seed=int(seed),
-        )
-
-    @property
-    def is_fractional(self) -> bool:
-        return any(
-            not float(b.d).is_integer() for b in self.nonstationary_blocks
-        )
-
-    @property
-    def d_min(self) -> float:
-        orders = [float(b.d) for b in self.nonstationary_blocks]
-        return min(orders) if orders else float("inf")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "p": int(self.p),
-            "r": int(self.r),
-            "stationary_law": self.stationary_law,
-            "nonstationary_blocks": [b.to_dict() for b in self.nonstationary_blocks],
-            "mixing_law": self.mixing_law,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioTemplate":
-        return cls(
-            name=data["name"],
-            p=data["p"],
-            r=data["r"],
-            stationary_law=data.get("stationary_law"),
-            nonstationary_blocks=tuple(data.get("nonstationary_blocks", ())),
-            mixing_law=data.get("mixing_law", dict(DEFAULT_MIXING_LAW)),
-        )
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a reproducible experiment run needs.
 
     Attributes
     ----------
-    scenarios : tuple of ScenarioTemplate
+    scenarios : tuple of ScenarioSpec
+        Designs with ``n`` left open (dicts go through
+        :meth:`ScenarioSpec.from_dict`); each names its report rows.
     n_grid : tuple of int
+        Sample sizes, each valid for every scenario.
     estimators : tuple of str
         Subset of :data:`ESTIMATORS`; ``fractional_ratio`` requires every
         scenario to contain a fractionally integrated block.
@@ -157,13 +97,16 @@ class ExperimentPlan:
     master_seed : int
         Non-negative.
     level : float
-        Test size for the johansen/unitroot estimators.
+        Test size for the johansen/unitroot estimators, in ``(0, 1)``.
     j0 : int
-        Max lag of the quadratic covariance accumulation.
+        Max lag of the quadratic covariance accumulation,
+        ``0 <= j0 <= min(n_grid) - 2``.
     crit_T, crit_reps : int
-        Inner length and repetitions of the trace critical-value simulation.
+        Inner length (``>= 100``) and repetitions (``>= 1000``) of the trace
+        critical-value simulation; checked when ``johansen`` is requested.
     ur_reps : int
-        Repetitions of the unit-root critical-value simulation.
+        Repetitions (``>= 1000``) of the unit-root critical-value
+        simulation; checked when ``unitroot`` is requested.
     fractional_d_min, fractional_delta : float
         Parameters of the fractional ratio rule; ``fractional_d_min=None``
         uses each scenario's true smallest order.
@@ -185,7 +128,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         scenarios = tuple(
-            s if isinstance(s, ScenarioTemplate) else ScenarioTemplate.from_dict(s)
+            s if isinstance(s, ScenarioSpec) else ScenarioSpec.from_dict(s)
             for s in self.scenarios
         )
         object.__setattr__(self, "scenarios", scenarios)
@@ -201,6 +144,20 @@ class ExperimentPlan:
             raise ValueError(f"need parallelism >= 1, got {self.parallelism}")
         if self.master_seed < 0:
             raise ValueError(f"need master_seed >= 0, got {self.master_seed}")
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        for s in scenarios:
+            if s.n is not None:
+                raise ValueError(
+                    f"scenario {s.name!r} sets n; a plan's n_grid sets it"
+                )
+            for n in self.n_grid:
+                replace(s, n=n)
+        if not 0 <= self.j0 <= min(self.n_grid) - 2:
+            raise ValueError(
+                f"need 0 <= j0 <= min(n_grid) - 2, got j0={self.j0} "
+                f"with n_grid {list(self.n_grid)}"
+            )
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}; expected {ESTIMATORS}")
@@ -210,14 +167,18 @@ class ExperimentPlan:
                 raise ValueError(
                     f"fractional_ratio requires fractional scenarios; {bad} are not"
                 )
+        if "johansen" in self.estimators:
+            _check_sim_args((), (), self.crit_T, self.crit_reps)
+        if "unitroot" in self.estimators:
+            _check_reps(self.ur_reps)
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""
         out = []
         ci = 0
-        for template in self.scenarios:
+        for scenario in self.scenarios:
             for n in self.n_grid:
-                out.append((ci, template, n))
+                out.append((ci, scenario, n))
                 ci += 1
         return out
 
@@ -308,14 +269,15 @@ def _orthonormal_leading(directions: np.ndarray, r: int) -> np.ndarray:
 def _run_chunk(plan, cell, trace_table, ur_table, ks: range) -> list:
     """All estimator records for replicates ``ks`` of ``cell``, in order.
 
-    ``cell`` is one ``(ci, template, n)`` entry of :meth:`ExperimentPlan.cells`.
+    ``cell`` is one ``(ci, scenario, n)`` entry of :meth:`ExperimentPlan.cells`.
     The chunk's panels are generated together; if that raises, each
     replicate regenerates its own panel, so an error lands on the replicate
     that caused it.
     """
-    ci, template, n = cell
+    ci, scenario, n = cell
     specs = [
-        template.spec_for(n, _replicate_seed(plan.master_seed, ci, k)) for k in ks
+        replace(scenario, n=n, seed=_replicate_seed(plan.master_seed, ci, k))
+        for k in ks
     ]
     try:
         panels = gen_panel(specs)
@@ -337,9 +299,9 @@ def _run_replicate(
 
     ``panel`` is the already generated panel, or None to generate it here.
     """
-    _, template, n = cell
+    _, scenario, n = cell
     base = dict(
-        scenario=template.name, p=template.p, r=template.r, n=n, replicate=k
+        scenario=scenario.name, p=scenario.p, r=scenario.r, n=n, replicate=k
     )
     try:
         if panel is None:
@@ -369,7 +331,7 @@ def _run_replicate(
             elif est == "fractional_ratio":
                 d_min = plan.fractional_d_min
                 if d_min is None:
-                    d_min = template.d_min
+                    d_min = scenario.d_min
                 r_est = rank_ratio_fractional(
                     fitted.eigen, n, d_min, plan.fractional_delta
                 )
@@ -399,19 +361,19 @@ _QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 def _aggregate_cell(
-    plan: ExperimentPlan, template, n, est, records, runtime
+    plan: ExperimentPlan, scenario, n, est, records, runtime
 ) -> CellResult:
     hits = [rec for rec in records if rec.estimator == est]
     good = [rec for rec in hits if not rec.failed]
     failures = len(hits) - len(good)
     if failures > FAILURE_BUDGET * len(hits):
         raise ExperimentFailure(
-            f"cell ({template.name}, n={n}, {est}): {failures}/{len(hits)} "
+            f"cell ({scenario.name}, n={n}, {est}): {failures}/{len(hits)} "
             "replicates failed"
         )
     if good:
         dists = np.array([rec.dist for rec in good])
-        freq = float(np.mean([rec.r_est == template.r for rec in good]))
+        freq = float(np.mean([rec.r_est == scenario.r for rec in good]))
         dist_mean = float(dists.mean())
         dist_sd = float(dists.std(ddof=1)) if dists.size > 1 else 0.0
         quantiles = {
@@ -420,9 +382,9 @@ def _aggregate_cell(
     else:
         freq, dist_mean, dist_sd, quantiles = float("nan"), float("nan"), float("nan"), {}
     return CellResult(
-        scenario=template.name,
-        p=template.p,
-        r=template.r,
+        scenario=scenario.name,
+        p=scenario.p,
+        r=scenario.r,
         n=n,
         estimator=est,
         freq_correct=freq,
@@ -452,7 +414,7 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
         # One table for every cell: each dimension has its own stream, so
         # its rows do not depend on which other dimensions are simulated.
         trace_table = trace_critical_table(
-            dims=range(1, max(t.p for t in plan.scenarios) + 1),
+            dims=range(1, max(s.p for s in plan.scenarios) + 1),
             levels=(plan.level,),
             T=plan.crit_T,
             reps=plan.crit_reps,
@@ -468,9 +430,9 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
     all_cells = []
     all_records = []
     for cell in plan.cells():
-        _, template, n = cell
+        _, scenario, n = cell
         ur_table = ur_tables.get(n)
-        size = max(1, _CHUNK_FLOATS // (template.p * n))
+        size = max(1, _CHUNK_FLOATS // (scenario.p * n))
         start = time.perf_counter()
         records = [
             rec
@@ -484,7 +446,7 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
         all_records.extend(records)
         for est in plan.estimators:
             all_cells.append(
-                _aggregate_cell(plan, template, n, est, records, runtime)
+                _aggregate_cell(plan, scenario, n, est, records, runtime)
             )
     return ExperimentReport(
         plan=plan, cells=tuple(all_cells), replicates=tuple(all_records)
@@ -586,8 +548,8 @@ PRESET_ESTIMATORS = {
 }
 
 
-def preset_template(name: str, p: int, r: int, s: Optional[int] = None) -> ScenarioTemplate:
-    """One scenario design from the benchmark families.
+def preset_template(name: str, p: int, r: int, s: Optional[int] = None) -> ScenarioSpec:
+    """One scenario design from the benchmark families, with ``n`` open.
 
     ``example1``: ``p - r`` ARIMA(1,1,1) components (AR ~ U(0.3, 0.8),
     MA ~ U(0, 0.95)) plus ``r`` stationary AR(1) (coefficient U(-0.8, 0.8)).
@@ -606,7 +568,7 @@ def preset_template(name: str, p: int, r: int, s: Optional[int] = None) -> Scena
                 count=p - r, d=d, ar_law=dict(_UNIFORM_AR), ma_law=dict(_UNIFORM_MA)
             ),
         ) if p > r else ()
-        return ScenarioTemplate(
+        return ScenarioSpec(
             name=f"p{p}_r{r}",
             p=p,
             r=r,
@@ -634,7 +596,7 @@ def preset_template(name: str, p: int, r: int, s: Optional[int] = None) -> Scena
                 ma_law={"kind": "uniform", "low": -0.95, "high": 0.95},
             )
         )
-    return ScenarioTemplate(
+    return ScenarioSpec(
         name=f"p{p}_r{r}_s{s}",
         p=p,
         r=r,

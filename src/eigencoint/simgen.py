@@ -24,6 +24,9 @@ Conventions
 * :func:`gen_panel` also takes a batch of specs that differ only in seed
   and filters every latent column of the batch in one recursion; each
   panel is bit-identical to generating its spec alone.
+* A :class:`ScenarioSpec` whose ``n`` is left open describes a design, not
+  a panel: the scenarios of an experiment plan are such specs, and each
+  replicate closes one with ``dataclasses.replace(spec, n=..., seed=...)``.
 
 Coefficient laws are small dicts so scenario specs serialize to JSON:
 ``{"kind": "uniform", "low": a, "high": b}`` draws one coefficient per
@@ -319,7 +322,7 @@ DEFAULT_MIXING_LAW = {"kind": "uniform", "low": -3.0, "high": 3.0}
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete, seeded description of one simulated panel.
+    """Seeded description of one simulated panel, or of a design (``n`` None).
 
     Attributes
     ----------
@@ -328,8 +331,8 @@ class ScenarioSpec:
     r : int
         Number of stationary latent components (the true cointegration
         rank).
-    n : int
-        Sample size, at least 10.
+    n : int or None
+        Sample size, at least 10; None leaves it open.
     stationary_law : dict or None
         AR(1) coefficient law for the ``r`` stationary components.
     nonstationary_blocks : tuple of ProcessBlock
@@ -339,21 +342,24 @@ class ScenarioSpec:
         ``{"kind": "orthogonal"}`` for a random orthogonal matrix, or
         ``{"kind": "identity"}``.
     seed : int
-        64-bit stream seed; fully determines the panel.
+        64-bit stream seed; with ``n``, fully determines the panel.
+    name : str
+        Label of the scenario in experiment reports.
     """
 
     p: int
     r: int
-    n: int
+    n: Optional[int] = None
     stationary_law: Optional[dict] = None
     nonstationary_blocks: tuple = ()
     mixing_law: dict = field(default_factory=lambda: dict(DEFAULT_MIXING_LAW))
     seed: int = 0
+    name: str = ""
 
     def __post_init__(self):
         if self.p < 1 or not (0 <= self.r <= self.p):
             raise ValueError(f"need p >= 1 and 0 <= r <= p, got p={self.p} r={self.r}")
-        if self.n < 10:
+        if self.n is not None and self.n < 10:
             raise ValueError(f"need n >= 10, got {self.n}")
         blocks = tuple(
             b if isinstance(b, ProcessBlock) else ProcessBlock.from_dict(b)
@@ -385,15 +391,18 @@ class ScenarioSpec:
         return min(orders) if orders else float("inf")
 
     def to_dict(self) -> dict:
-        return {
+        """The JSON form; ``n`` and ``seed`` appear only when ``n`` is set."""
+        data = {
+            "name": self.name,
             "p": int(self.p),
             "r": int(self.r),
-            "n": int(self.n),
             "stationary_law": self.stationary_law,
             "nonstationary_blocks": [b.to_dict() for b in self.nonstationary_blocks],
             "mixing_law": self.mixing_law,
-            "seed": int(self.seed),
         }
+        if self.n is not None:
+            data.update(n=int(self.n), seed=int(self.seed))
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -403,11 +412,12 @@ class ScenarioSpec:
         return cls(
             p=data["p"],
             r=data["r"],
-            n=data["n"],
+            n=data.get("n"),
             stationary_law=data.get("stationary_law"),
             nonstationary_blocks=tuple(data.get("nonstationary_blocks", ())),
             mixing_law=data.get("mixing_law", dict(DEFAULT_MIXING_LAW)),
             seed=data.get("seed", 0),
+            name=data.get("name", ""),
         )
 
     @classmethod
@@ -504,7 +514,8 @@ def gen_panel(specs):
     Raises
     ------
     ValueError
-        The specs of a batch differ in more than ``seed``.
+        The specs of a batch differ in more than ``seed``, or leave ``n``
+        open.
     SingularMixing
         All redraw attempts for the mixing matrix were ill-conditioned.
     NonstationaryAR
@@ -517,6 +528,8 @@ def gen_panel(specs):
     spec = batch[0]
     if any(_design(other) != _design(spec) for other in batch[1:]):
         raise ValueError("specs of one batch may differ only in seed")
+    if spec.n is None:
+        raise ValueError("spec leaves n open; set it with dataclasses.replace")
     n, p, reps = spec.n, spec.p, len(batch)
 
     b = np.ones((2, reps, p))

@@ -9,6 +9,7 @@ everything is seeded, so reruns are deterministic.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_c6_distance_trend():
                     1, np.uint64
                 )[0]
             )
-            panel = gen_panel(template.spec_for(n=n, seed=seed))
+            panel = gen_panel(replace(template, n=n, seed=seed))
             a_hat2 = split(fit(panel.y, 5), 2)[1]
             dists[k] = dist_d1(a_hat2, panel.b2)
         medians.append(float(np.median(dists)))
@@ -340,7 +341,7 @@ def test_c8_invariance_suite():
     # lambda_5 lands exactly on n * lambda_6 flips under any reordering of
     # float operations and cannot witness the invariance.
     template = preset_template("example2", 6, 2)
-    panel = gen_panel(template.spec_for(n=500, seed=2027))
+    panel = gen_panel(replace(template, n=500, seed=2027))
 
     def all_ranks(y):
         fitted = fit(y, 5)

@@ -299,6 +299,18 @@ def test_simulate_rejects_bad_plan_file(tmp_path, capsys):
     assert main(["simulate", "--plan", str(missing_fields)]) == 2
 
 
+def test_simulate_plan_with_level_out_of_range_exits_2(tmp_path, capsys):
+    # Rejected while the plan is built, before any critical value is drawn.
+    plan = dict(small_plan_dict(), level=1.5, estimators=["ratio", "unitroot"],
+                ur_reps=1000)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--plan", str(plan_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid plan: level")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # crit
 
@@ -430,9 +442,10 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     code = """
 import sys, eigencoint.cli
 print('scipy.signal' in sys.modules)
+from dataclasses import replace
 from eigencoint.harness import preset_plan, preset_template, run_plan
 from eigencoint.simgen import gen_panel
-gen_panel(preset_template('example3', 6, 2, 2).spec_for(300, 0))
+gen_panel(replace(preset_template('example3', 6, 2, 2), n=300, seed=0))
 run_plan(preset_plan('example2', reps=2, cells=((6, 2),), n_grid=(300,),
                      estimators=('ratio', 'unitroot'), ur_reps=1000))
 print(sorted(name for name in sys.modules if name.startswith('scipy')))

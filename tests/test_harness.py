@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from eigencoint.harness import (
     ExperimentPlan,
     ExperimentReport,
     ReplicateRecord,
-    ScenarioTemplate,
     _aggregate_cell,
     emit_replicates,
     emit_report,
@@ -25,14 +25,14 @@ from eigencoint.harness import (
     run_plan,
 )
 from eigencoint.ranksel import fit, rank_ratio, split
-from eigencoint.simgen import gen_panel
+from eigencoint.simgen import ScenarioSpec, gen_panel
 from eigencoint.subspace import dist_d1
 
 UNIFORM_STATIONARY = {"kind": "uniform", "low": -0.8, "high": 0.8}
 
 
 def small_template(p=4, r=1, d=1):
-    return ScenarioTemplate(
+    return ScenarioSpec(
         name=f"p{p}_r{r}",
         p=p,
         r=r,
@@ -60,16 +60,17 @@ def replicate_seed(master_seed, cell_index, replicate):
 
 
 # ---------------------------------------------------------------------------
-# templates and plans
+# scenarios (specs with n open) and plans
 
 def test_template_round_trip():
     template = small_template()
-    assert ScenarioTemplate.from_dict(template.to_dict()) == template
+    assert template.n is None
+    assert ScenarioSpec.from_dict(template.to_dict()) == template
 
 
 def test_template_validates_design_eagerly():
     with pytest.raises(ValueError, match="expected p - r"):
-        ScenarioTemplate(
+        ScenarioSpec(
             name="bad",
             p=4,
             r=1,
@@ -97,6 +98,16 @@ def test_template_order_properties():
         ({"parallelism": 0}, "parallelism >= 1"),
         ({"estimators": ("ratio", "mle")}, "unknown estimator"),
         ({"estimators": ("fractional_ratio",)}, "requires fractional"),
+        ({"level": 1.5}, r"level must lie in \(0, 1\)"),
+        ({"level": 0.0}, r"level must lie in \(0, 1\)"),
+        ({"n_grid": (5,)}, "n >= 10"),
+        ({"n_grid": (200, 9)}, "n >= 10"),
+        ({"j0": -1}, "0 <= j0 <= min"),
+        ({"j0": 199, "n_grid": (300, 200)}, "0 <= j0 <= min"),
+        ({"estimators": ("johansen",), "crit_reps": 10}, "reps >= 1000"),
+        ({"estimators": ("johansen",), "crit_T": 50}, "T >= 100"),
+        ({"estimators": ("unitroot",), "ur_reps": 0}, "reps >= 1000"),
+        ({"scenarios": (replace(small_template(), n=200),)}, "sets n"),
     ],
 )
 def test_plan_validation(overrides, match):
@@ -147,7 +158,7 @@ def test_single_replicate_equals_direct_pipeline():
     rec = report.replicates[0]
 
     seed = replicate_seed(123, 0, 0)
-    panel = gen_panel(preset_template("example2", 6, 2).spec_for(1000, seed))
+    panel = gen_panel(replace(preset_template("example2", 6, 2), n=1000, seed=seed))
     fitted = fit(panel.y, plan.j0)
     r_est = rank_ratio(fitted.eigen, 1000)
     dist = dist_d1(split(fitted, r_est)[1], panel.b2)
@@ -256,8 +267,12 @@ def test_fractional_plan_runs():
 
 
 def test_systematic_failures_abort_the_cell():
-    # j0 exceeds every panel's usable lag count, so every replicate errors
-    plan = small_plan(n_grid=(12,), j0=20, reps=5)
+    # Every stationary AR coefficient drawn lies outside the unit circle,
+    # so every replicate errors
+    explosive = replace(
+        small_template(), stationary_law={"kind": "uniform", "low": 1.0, "high": 1.5}
+    )
+    plan = small_plan(scenarios=(explosive,), reps=5)
     with pytest.raises(ExperimentFailure, match="5/5"):
         run_plan(plan)
 
@@ -268,7 +283,7 @@ def test_replicate_seed_provenance():
     by_key = {(rec.n, rec.replicate): rec for rec in report.replicates}
     # regenerate one record from scratch using only (master_seed, cell, rep)
     rec = by_key[(200, 1)]
-    panel = gen_panel(plan.scenarios[0].spec_for(200, replicate_seed(99, 1, 1)))
+    panel = gen_panel(replace(plan.scenarios[0], n=200, seed=replicate_seed(99, 1, 1)))
     fitted = fit(panel.y, plan.j0)
     assert rec.r_est == rank_ratio(fitted.eigen, 200)
 
@@ -478,3 +493,45 @@ def test_load_plan_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown plan fields"):
         load_plan({"scenarios": [small_template().to_dict()], "n_grid": [100],
                    "estimators": ["ratio"], "warmup": 5})
+
+
+# The plan file shown in README.md, verbatim.
+README_PLAN = """
+{
+  "scenarios": [
+    {
+      "name": "p4_r1",
+      "p": 4,
+      "r": 1,
+      "stationary_law": {"kind": "uniform", "low": -0.8, "high": 0.8},
+      "nonstationary_blocks": [
+        {"count": 3, "d": 1,
+         "ar_law": {"kind": "uniform", "low": 0.3, "high": 0.8},
+         "ma_law": null}
+      ],
+      "mixing_law": {"kind": "uniform", "low": -3.0, "high": 3.0}
+    }
+  ],
+  "n_grid": [300, 1000],
+  "estimators": ["ratio", "ic_omega2"],
+  "reps": 200,
+  "master_seed": 0,
+  "level": 0.05,
+  "j0": 5,
+  "crit_T": 1000,
+  "crit_reps": 2000,
+  "ur_reps": 4000,
+  "fractional_d_min": null,
+  "fractional_delta": 0.0
+}
+"""
+
+
+def test_readme_plan_file_round_trips():
+    data = json.loads(README_PLAN)
+    plan = load_plan(README_PLAN)
+    assert plan.scenarios[0].n is None
+    written = plan.to_dict()
+    assert written["scenarios"] == data["scenarios"]
+    assert [list(s) for s in written["scenarios"]] == [list(s) for s in data["scenarios"]]
+    assert {key: written[key] for key in data} == data

@@ -284,6 +284,8 @@ def test_rank_rules_scale_invariant(s):
 def test_example2_frequency_trend():
     # Correct-rank frequency for the (p=6, r=2) twice-integrated design is
     # non-decreasing in n, allowing one Monte Carlo inversion of <= 0.03.
+    from dataclasses import replace
+
     from eigencoint.harness import _replicate_seed, preset_template
     from eigencoint.simgen import gen_panel
 
@@ -292,7 +294,7 @@ def test_example2_frequency_trend():
     for j, n in enumerate((300, 1000, 2500)):
         hits = 0
         for k in range(200):
-            panel = gen_panel(tpl.spec_for(n, _replicate_seed(7, j, k)))
+            panel = gen_panel(replace(tpl, n=n, seed=_replicate_seed(7, j, k)))
             f = fit(panel.y, 5)
             hits += rank_ratio(f.eigen, n) == 2
         freqs.append(hits / 200.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,6 +378,27 @@ def test_scenario_spec_dict_defaults():
     assert spec.seed == 0
 
 
+def test_open_scenario_spec_round_trips_without_n_or_seed():
+    spec = replace(example2_spec(), n=None, name="p6_r2")
+    data = spec.to_dict()
+    assert list(data) == [
+        "name", "p", "r", "stationary_law", "nonstationary_blocks", "mixing_law",
+    ]
+    assert ScenarioSpec.from_dict(data) == replace(spec, seed=0)
+    assert ScenarioSpec.from_json(spec.to_json()) == replace(spec, seed=0)
+    closed = replace(spec, n=300, seed=4)
+    assert closed.to_dict() == dict(data, n=300, seed=4)
+    assert ScenarioSpec.from_dict(closed.to_dict()) == closed
+
+
+def test_gen_panel_rejects_open_spec():
+    spec = replace(example2_spec(), n=None)
+    with pytest.raises(ValueError, match="leaves n open"):
+        gen_panel(spec)
+    with pytest.raises(ValueError, match="leaves n open"):
+        gen_panel([replace(spec, seed=s) for s in (1, 2)])
+
+
 def test_scenario_spec_fractional_flags():
     integer = example2_spec()
     assert not integer.is_fractional
@@ -553,7 +575,7 @@ def test_batch_equals_panels_generated_one_by_one(template):
         specs = [ScenarioSpec.from_dict(dict(FRACTIONAL_SPEC.to_dict(), seed=s))
                  for s in seeds]
     else:
-        specs = [template.spec_for(300, s) for s in seeds]
+        specs = [replace(template, n=300, seed=s) for s in seeds]
     batch = gen_panel(specs)
     assert len(batch) == len(specs)
     for spec, panel in zip(specs, batch):
