@@ -60,6 +60,8 @@ _MU_CEILING = 1.0 - 1e-12
 #: budgets bought no speed and raised peak memory (2**19 added about 40 MB
 #: to a dims 1..12 trace table).
 _CHUNK_FLOATS = 2**15
+#: Shortest series :func:`unit_root_stat` accepts.
+_UNIT_ROOT_MIN_N = 20
 
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
@@ -304,6 +306,11 @@ class TraceResult:
     directions: np.ndarray
 
 
+def _trace_min_n(p: int) -> int:
+    """Shortest panel :func:`johansen_trace` accepts for ``p`` series: ``n > 2p + 2``."""
+    return 2 * p + 3
+
+
 def johansen_trace(series, crit: CriticalTable, level: float = 0.05) -> TraceResult:
     """Run the trace test on a panel with simulated critical values.
 
@@ -325,7 +332,7 @@ def johansen_trace(series, crit: CriticalTable, level: float = 0.05) -> TraceRes
     """
     y = as_panel(series)
     n, p = y.shape
-    if n <= 2 * p + 2:
+    if n < _trace_min_n(p):
         raise InvalidSeries(f"need n > 2p + 2 for the trace test, got n={n}, p={p}")
     dy = np.diff(y, axis=0)
     ylag = y[:-1]
@@ -411,8 +418,8 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     whatever batch it is scored in.
     """
     n = xs.shape[1]
-    if n < 20:
-        raise InvalidSeries(f"need at least 20 observations, got {n}")
+    if n < _UNIT_ROOT_MIN_N:
+        raise InvalidSeries(f"need at least {_UNIT_ROOT_MIN_N} observations, got {n}")
     if not np.isfinite(xs).all():
         raise InvalidSeries("series contains non-finite entries")
     if (xs.max(axis=1) == xs.min(axis=1)).any():

@@ -12,8 +12,11 @@ Four commands::
                         [--seed 0] --out cache.json
     eigencoint version
 
-``simulate --parallelism N`` is ignored (every replicate runs in this
-process); it is kept so existing command lines and plans still load.
+``simulate`` starts from the preset or the plan file and lets each flag
+given replace one plan field: ``--reps``, ``--seed``, ``--n`` and
+``--estimators`` apply to both, ``--cells`` to presets only (with a plan
+file it exits 2).  ``--parallelism N`` is ignored (every replicate runs in
+this process); it is kept so existing command lines and plans still load.
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  All
 numeric work is delegated to the library modules; this layer only parses
@@ -38,7 +41,7 @@ from .baselines import (
     unit_root_critical_table,
 )
 from .errors import EigencointError
-from .harness import ESTIMATORS, load_plan, preset_plan, run_plan, emit_report, emit_replicates
+from .harness import emit_replicates, emit_report, load_plan, run_plan
 from .ranksel import PenaltySpec, fit, penalty, rank_ic, rank_ratio, split
 
 _ANALYZE_METHODS = ("ratio", "ic", "unitroot")
@@ -120,7 +123,15 @@ def _read_panel_csv(path: str) -> np.ndarray:
                     f"column {col}"
                 ) from None
         data.append(values)
-    return np.array(data, dtype=float)
+    panel = np.array(data, dtype=float)
+    bad = np.argwhere(~np.isfinite(panel))
+    if bad.size:
+        i, j = bad[0]
+        lineno, fields = rows[start + i]
+        raise _InputError(
+            f"{path}: non-finite cell {fields[j]!r} at row {lineno}, column {j + 1}"
+        )
+    return panel
 
 
 def _derived_paths(config: AnalyzeConfig):
@@ -190,21 +201,16 @@ def _print_tables(report) -> None:
     columns, a block of correct-rank frequencies then one of mean distances."""
     n_grid = list(report.plan.n_grid)
     by_key = {(c.scenario, c.estimator, c.n): c for c in report.cells}
-    names = []
-    for tpl in report.plan.scenarios:
-        if tpl.name not in names:
-            names.append(tpl.name)
     width = max([len(e) for e in report.plan.estimators] + [9])
-    for name in names:
-        tpl = next(t for t in report.plan.scenarios if t.name == name)
-        print(f"scenario {name} (p={tpl.p}, r={tpl.r})")
+    for scenario in report.plan.scenarios:
+        print(f"scenario {scenario.name} (p={scenario.p}, r={scenario.r})")
         header = " " * (width + 2) + "".join(f"{'n=' + str(n):>10}" for n in n_grid)
         for label, attr in (("correct-rank frequency", "freq_correct"),
                             ("mean distance", "dist_mean")):
             print(f"  {label}")
             print(header)
             for est in report.plan.estimators:
-                cells = [by_key.get((name, est, n)) for n in n_grid]
+                cells = [by_key.get((scenario.name, est, n)) for n in n_grid]
                 row = "".join(
                     f"{getattr(c, attr):>10.3f}" if c is not None else f"{'--':>10}"
                     for c in cells
@@ -217,37 +223,19 @@ def cmd_simulate(args) -> int:
     if (args.plan is None) == (args.preset is None):
         raise _InputError("simulate needs exactly one of --plan or --preset")
     try:
-        if args.plan is not None:
-            plan = load_plan(args.plan)
-            overrides = {}
-            if args.reps is not None:
-                overrides["reps"] = args.reps
-            if args.seed is not None:
-                overrides["master_seed"] = args.seed
-            if args.parallelism is not None:
-                overrides["parallelism"] = args.parallelism
-            if overrides:
-                data = plan.to_dict()
-                data.update(overrides)
-                plan = load_plan(data)
+        if args.plan is None:
+            data = {"preset": args.preset}
         else:
-            kwargs = {}
-            if args.cells:
-                kwargs["cells"] = [
-                    tuple(int(v) for v in cell.split(","))
-                    for cell in args.cells.split(";")
-                ]
-            if args.n:
-                kwargs["n_grid"] = tuple(int(v) for v in args.n.split(","))
-            if args.estimators:
-                kwargs["estimators"] = tuple(args.estimators.split(","))
-            plan = preset_plan(
-                args.preset,
-                reps=args.reps if args.reps is not None else 200,
-                master_seed=args.seed if args.seed is not None else 0,
-                parallelism=args.parallelism if args.parallelism is not None else 1,
-                **kwargs,
-            )
+            data = load_plan(args.plan).to_dict()
+        flags = {"reps": args.reps, "master_seed": args.seed, "parallelism": args.parallelism}
+        if args.n:
+            flags["n_grid"] = [int(v) for v in args.n.split(",")]
+        if args.estimators:
+            flags["estimators"] = args.estimators.split(",")
+        if args.cells:
+            flags["cells"] = [[int(v) for v in c.split(",")] for c in args.cells.split(";")]
+        data.update({key: value for key, value in flags.items() if value is not None})
+        plan = load_plan(data)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         raise _InputError(f"invalid plan: {exc}") from exc
 
@@ -278,6 +266,8 @@ def cmd_crit(args) -> int:
         dims = _parse_dims(args.dim)
     except ValueError as exc:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
+    if not dims:
+        raise _InputError(f"bad --dim {args.dim!r}: no dimensions")
     try:
         table = trace_critical_table(
             dims=dims, levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed
@@ -289,7 +279,7 @@ def cmd_crit(args) -> int:
             with open(args.out, encoding="utf-8") as fh:
                 existing = CriticalTable.from_dict(json.load(fh))
             table = existing.merged(table)
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
             pass  # incompatible or corrupt cache: replace it
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(table.to_json())
@@ -325,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--plan", help="plan JSON path")
     ps.add_argument("--preset", help="benchmark preset: example1|example2|example3")
     ps.add_argument("--reps", type=int, help="replicates per cell")
-    ps.add_argument("--cells", help="preset cell subset, e.g. '6,2;10,4'")
-    ps.add_argument("--n", help="sample-size subset, e.g. '300,1000'")
+    ps.add_argument("--cells", help="preset cell subset, e.g. '6,2;10,4' (presets only)")
+    ps.add_argument("--n", help="sample sizes, e.g. '300,1000'")
     ps.add_argument("--estimators", help="comma list, e.g. 'ratio,ic_omega2'")
     ps.add_argument("--seed", type=int, help="master seed (default 0)")
     ps.add_argument("--parallelism", type=int, help="ignored; kept so existing "

@@ -32,9 +32,11 @@ from typing import Optional
 import numpy as np
 
 from .baselines import (
+    _UNIT_ROOT_MIN_N,
     CriticalTable,
     _check_reps,
     _check_sim_args,
+    _trace_min_n,
     johansen_trace,
     trace_critical_table,
     unit_root_critical_table,
@@ -82,9 +84,10 @@ class ExperimentPlan:
     ----------
     scenarios : tuple of ScenarioSpec
         Designs with ``n`` left open (dicts go through
-        :meth:`ScenarioSpec.from_dict`); each names its report rows.
+        :meth:`ScenarioSpec.from_dict`); each names its report rows, so
+        names must be distinct.
     n_grid : tuple of int
-        Sample sizes, each valid for every scenario.
+        Sample sizes, each valid for every scenario and every estimator.
     estimators : tuple of str
         Subset of :data:`ESTIMATORS`; ``fractional_ratio`` requires every
         scenario to contain a fractionally integrated block.
@@ -153,6 +156,16 @@ class ExperimentPlan:
                 )
             for n in self.n_grid:
                 replace(s, n=n)
+            needs = {"johansen": _trace_min_n(s.p), "unitroot": _UNIT_ROOT_MIN_N}
+            for est, need in needs.items():
+                if est in self.estimators and min(self.n_grid) < need:
+                    raise ValueError(
+                        f"{est} needs n >= {need} on scenario {s.name!r}, "
+                        f"got n_grid {list(self.n_grid)}"
+                    )
+        names = [s.name for s in scenarios]
+        if len(set(names)) < len(names):
+            raise ValueError(f"scenario names must be distinct, got {names}")
         if not 0 <= self.j0 <= min(self.n_grid) - 2:
             raise ValueError(
                 f"need 0 <= j0 <= min(n_grid) - 2, got j0={self.j0} "
@@ -608,35 +621,22 @@ def preset_template(name: str, p: int, r: int, s: Optional[int] = None) -> Scena
     )
 
 
-def preset_plan(
-    name: str,
-    reps: int = 200,
-    cells=None,
-    n_grid=None,
-    estimators=None,
-    master_seed: int = 0,
-    parallelism: int = 1,
-    **overrides,
-) -> ExperimentPlan:
+def preset_plan(name: str, cells=None, **overrides) -> ExperimentPlan:
     """A ready-to-run plan for one of the benchmark designs.
 
     ``cells``, ``n_grid``, and ``estimators`` default to the full benchmark
-    grids (see :data:`PRESET_CELLS` etc.) and accept subsets for cheaper
-    runs; further :class:`ExperimentPlan` fields pass through ``overrides``.
-    ``parallelism`` is accepted and has no effect, as on the plan.
+    grids (see :data:`PRESET_CELLS` etc.), also when given as None, and
+    accept subsets for cheaper runs; every other :class:`ExperimentPlan`
+    field passes through ``overrides`` and defaults as on the plan.
     """
     if name not in PRESET_CELLS:
         raise ValueError(f"unknown preset {name!r}; expected {tuple(PRESET_CELLS)}")
     cells = PRESET_CELLS[name] if cells is None else tuple(tuple(c) for c in cells)
-    scenarios = tuple(preset_template(name, *cell) for cell in cells)
+    for key, grids in (("n_grid", PRESET_N_GRID), ("estimators", PRESET_ESTIMATORS)):
+        if overrides.get(key) is None:
+            overrides[key] = grids[name]
     return ExperimentPlan(
-        scenarios=scenarios,
-        n_grid=tuple(n_grid) if n_grid is not None else PRESET_N_GRID[name],
-        estimators=tuple(estimators) if estimators is not None else PRESET_ESTIMATORS[name],
-        reps=reps,
-        parallelism=parallelism,
-        master_seed=master_seed,
-        **overrides,
+        scenarios=tuple(preset_template(name, *cell) for cell in cells), **overrides
     )
 
 

@@ -134,6 +134,8 @@ def test_analyze_accepts_crlf_line_endings(tmp_path):
         ("1.0,2.0\n1.0\n", "line 2 has 1 fields, expected 2"),
         ("a,b\n", "header only"),
         ("", "no data rows"),
+        ("1.0,2.0\n1.0,nan\n", "non-finite cell 'nan' at row 2, column 2"),
+        ("1.0,2.0\n3.0,4.0\n-inf,1.0\n", "non-finite cell '-inf' at row 3, column 1"),
     ],
 )
 def test_analyze_reports_malformed_csv(tmp_path, capsys, content, message):
@@ -249,6 +251,40 @@ def test_simulate_plan_overrides(tmp_path):
     assert row["seed"] == 5
 
 
+def test_simulate_plan_file_takes_n_and_estimators(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(small_plan_dict()))
+    out = tmp_path / "report.json"
+    rc = main(["simulate", "--plan", str(plan_path), "--n", "100,120",
+               "--estimators", "ratio,ic_omega2", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["n"], row["estimator"]) for row in rows] == [
+        (100, "ratio"), (100, "ic_omega2"), (120, "ratio"), (120, "ic_omega2"),
+    ]
+    assert {row["reps"] for row in rows} == {3}
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--cells", "9,9"], "unknown plan fields: ['cells']"),
+        (["--n", "5"], "n >= 10"),
+        (["--estimators", "bogus"], "unknown estimator 'bogus'"),
+    ],
+    ids=["cells", "n", "estimators"],
+)
+def test_simulate_plan_file_rejects_bad_flags(tmp_path, capsys, extra, message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(small_plan_dict()))
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--plan", str(plan_path), "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid plan:")
+    assert message in err
+    assert not out.exists()
+
+
 def test_simulate_replicates_out(tmp_path):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(small_plan_dict()))
@@ -282,6 +318,9 @@ def test_simulate_needs_exactly_one_source(capsys):
         ["--preset", "example9"],
         ["--preset", "example2", "--cells", "6,2,9"],
         ["--preset", "example2", "--estimators", "ratio,mle"],
+        ["--preset", "example2", "--cells", "6,2", "--n", "15",
+         "--estimators", "ratio,unitroot"],
+        ["--preset", "example1", "--cells", "8,2", "--n", "15", "--estimators", "johansen"],
     ],
 )
 def test_simulate_rejects_bad_preset_arguments(tmp_path, capsys, argv_extra):
@@ -368,9 +407,11 @@ def test_crit_incompatible_cache_replaced(tmp_path):
 
 def test_crit_corrupt_cache_replaced(tmp_path):
     out = tmp_path / "cache.json"
-    out.write_text("garbage")
-    assert main(crit_args(out)) == 0
-    assert CriticalTable.from_json(out.read_text()).dims == (1,)
+    # Not JSON, then JSON that is not a table object.
+    for content in ("garbage", "[]", "3"):
+        out.write_text(content)
+        assert main(crit_args(out)) == 0
+        assert CriticalTable.from_json(out.read_text()).dims == (1,)
 
 
 def test_crit_rejects_bad_arguments(tmp_path, capsys):
@@ -393,9 +434,10 @@ def test_crit_rejects_bad_arguments(tmp_path, capsys):
          "--reps", "2", "--estimators", "ratio", "--seed", "-1"],
         ["analyze", "--input", str(COINT_PAIR), "--methods", "ratio,unitroot",
          "--seed", "-1"],
+        ["crit", "--dim", "3..1"],
     ],
     ids=["crit-T", "crit-dim", "crit-level-high", "crit-level-zero",
-         "crit-seed", "simulate-seed", "analyze-seed"],
+         "crit-seed", "simulate-seed", "analyze-seed", "crit-dim-empty-range"],
 )
 def test_bad_numeric_argument_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.file"
@@ -431,6 +473,37 @@ def test_bench_trace_layer_targets_resolve():
         module_name, attr = target.rsplit(".", 1)
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), target
+
+
+def test_bench_simulate_workloads_build_one_plan(tmp_path, monkeypatch):
+    # The benchmark runs each simulate workload from CLI flags and its pool
+    # probe from a plan document; both must give the same plan.
+    import importlib.util
+
+    import eigencoint.cli as cli
+    from eigencoint.harness import load_plan
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    spec.loader.exec_module(bench)
+
+    class Built(Exception):
+        pass
+
+    def capture(plan):
+        raise Built(plan)
+
+    monkeypatch.setattr(cli, "run_plan", capture)
+    workloads = [w for w in bench.WORKLOADS.values() if issubclass(w, bench.Simulate)]
+    assert len(workloads) >= 2
+    for workload_cls in workloads:
+        for seed in (0, 1):
+            workload = workload_cls(seed, str(tmp_path))
+            with pytest.raises(Built) as built:
+                main(workload.args(str(tmp_path)))
+            assert built.value.args[0] == load_plan(workload.plan()), workload.name
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():

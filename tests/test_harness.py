@@ -108,11 +108,24 @@ def test_template_order_properties():
         ({"estimators": ("johansen",), "crit_T": 50}, "T >= 100"),
         ({"estimators": ("unitroot",), "ur_reps": 0}, "reps >= 1000"),
         ({"scenarios": (replace(small_template(), n=200),)}, "sets n"),
+        ({"estimators": ("ratio", "unitroot"), "n_grid": (300, 19)},
+         "unitroot needs n >= 20"),
+        ({"estimators": ("johansen",), "n_grid": (10,)}, "johansen needs n >= 11"),
+        ({"scenarios": (small_template(), small_template())}, "names must be distinct"),
+        ({"scenarios": (replace(small_template(3, 1), name=""),
+                        replace(small_template(4, 2), name=""))},
+         "names must be distinct"),
     ],
 )
 def test_plan_validation(overrides, match):
     with pytest.raises(ValueError, match=match):
         small_plan(**overrides)
+
+
+def test_plan_accepts_each_estimators_shortest_sample():
+    # johansen needs n > 2p + 2 (p = 4 here), unitroot n >= 20.
+    assert small_plan(estimators=("johansen",), n_grid=(11,)).n_grid == (11,)
+    assert small_plan(estimators=("unitroot",), n_grid=(20,)).n_grid == (20,)
 
 
 def test_plan_accepts_fractional_estimator_on_fractional_scenario():
