@@ -184,17 +184,26 @@ def _check_sim_args(dims, levels, T: int, reps: int) -> None:
     for dim in dims:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {level}")
+    _check_levels(levels)
     if T < 100:
         raise ValueError(f"need T >= 100, got {T}")
     _check_reps(reps)
 
 
+def _check_levels(levels) -> None:
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must lie in (0, 1), got {level}")
+
+
 def _check_reps(reps: int) -> None:
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
 
 
 def sim_trace_critical(dim: int, level: float, T: int, reps: int, rng) -> float:
@@ -243,8 +252,7 @@ def trace_critical_table(
     dims = tuple(int(d) for d in dims)
     levels = tuple(float(lv) for lv in levels)
     _check_sim_args(dims, levels, T, reps)
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
+    _check_seed(seed)
     quantiles = [1.0 - lv for lv in levels]
 
     def simulate(dim: int) -> np.ndarray:
@@ -408,18 +416,26 @@ def unit_root_stat(x, bandwidth: Optional[int] = None) -> float:
     return float(_unit_root_stats(x[None, :], bandwidth)[0])
 
 
+def _check_unit_root_n(n: int) -> None:
+    if n < _UNIT_ROOT_MIN_N:
+        raise InvalidSeries(f"need at least {_UNIT_ROOT_MIN_N} observations, got {n}")
+
+
 def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
     """:func:`unit_root_stat` of every row of ``xs``, shape ``(m, n)``.
 
-    The checks and the demeaning run on the whole batch.  Dot products and
-    the scalar tail run row by row with the operations of a 1-D series,
-    because batching them costs more in NumPy calls than one series spends
-    on its arithmetic.  Either way a row's statistic is bitwise the same
-    whatever batch it is scored in.
+    The whole batch goes through each step: the checks, the demeaning, the
+    inner products and the scalar tail, as length-``m`` arrays in the
+    operation order of a 1-D series.  Each inner product is a stacked
+    ``(m, 1, k) @ (m, k, 1)`` matmul, which runs the BLAS dot of a 1-D
+    ``row @ row`` once per row.  ``xs`` is made C-contiguous first, because
+    a strided row would go through a different BLAS dot kernel.  A row's
+    statistic is therefore bitwise the same whatever batch, or stride, it
+    is scored in.
     """
+    xs = np.ascontiguousarray(xs)
     n = xs.shape[1]
-    if n < _UNIT_ROOT_MIN_N:
-        raise InvalidSeries(f"need at least {_UNIT_ROOT_MIN_N} observations, got {n}")
+    _check_unit_root_n(n)
     if not np.isfinite(xs).all():
         raise InvalidSeries("series contains non-finite entries")
     if (xs.max(axis=1) == xs.min(axis=1)).any():
@@ -427,26 +443,29 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     ylag = xs[:, :-1]
     ynow = xs[:, 1:]
     t_eff = n - 1
-    w = ylag - ylag.mean(axis=1, keepdims=True)
-    ynow_c = ynow - ynow.mean(axis=1, keepdims=True)
-    ss_w = [float(row @ row) for row in w]
-    if 0.0 in ss_w:
+    # sum / count is what ndarray.mean computes, without its Python wrapper
+    w = ylag - ylag.sum(axis=1, keepdims=True) / t_eff
+    ynow_c = ynow - ynow.sum(axis=1, keepdims=True) / t_eff
+    w_rows = w[:, None, :]
+    ss_w = (w_rows @ w[:, :, None])[:, 0, 0]
+    if (ss_w == 0.0).any():
         raise DegenerateComponent("lagged series is constant")
 
     q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
     if q < 0:
         raise ValueError(f"bandwidth must be non-negative, got {q}")
-    weights = [2.0 * (1.0 - j / (q + 1.0)) for j in range(1, min(q, t_eff - 1) + 1)]
-    stats = []
-    for s, w_row, y_row, yc_row in zip(ss_w, w, ynow, ynow_c):
-        rho = float(w_row @ y_row) / s
-        resid = yc_row - rho * w_row
-        gamma0 = float(resid @ resid) / t_eff
-        lam2 = gamma0
-        for j, wj in enumerate(weights, start=1):
-            lam2 += wj * (float(resid[j:] @ resid[:-j]) / t_eff)
-        stats.append(t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * s / t_eff**2))
-    return np.array(stats)
+    rho = (w_rows @ ynow[:, :, None])[:, 0, 0] / ss_w
+    resid = ynow_c - rho[:, None] * w
+    lags = range(1, min(q, t_eff - 1) + 1)
+    rows, cols = resid[:, None, :], resid[:, :, None]
+    dots = [rows @ cols] + [rows[:, :, j:] @ cols[:, :-j] for j in lags]
+    # Column 0 is gamma_0, column j the Bartlett-weighted gamma_j; the
+    # cumulative sum adds them one at a time, in the scalar recursion's order.
+    terms = np.concatenate(dots, axis=1)[:, :, 0] / t_eff
+    terms *= np.array([1.0] + [2.0 * (1.0 - j / (q + 1.0)) for j in lags])
+    gamma0 = terms[:, 0]
+    lam2 = np.cumsum(terms, axis=1)[:, -1]
+    return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 
 def unit_root_critical_table(
@@ -455,28 +474,48 @@ def unit_root_critical_table(
     """Simulate the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the same length ``n`` as the series
-    to be tested; the table stores lower-tail (``level``) quantiles.  Walks
-    are drawn from the one stream ``derive_stream(seed, 1)`` in ``(m, n)``
-    chunks and scored by :func:`_unit_root_stats`; the stream order and the
-    per-walk arithmetic are those of one walk at a time, so the values are
-    bitwise those of a per-walk loop.
+    to be tested; the table stores lower-tail (``level``) quantiles.
+
+    Every argument is validated before the first draw.  The calling thread
+    then draws the walks' steps from the one stream ``derive_stream(seed,
+    1)`` in ``(m, n)`` chunks, in the order of one walk at a time, while one
+    worker thread cumsums and scores (:func:`_unit_root_stats`) the previous
+    chunk into its own slice of the sample; at most two chunks are in
+    flight.  The stream is consumed only by the calling thread and each
+    walk's arithmetic does not depend on its chunk, so the values are
+    bitwise those of a per-walk loop, whatever the chunk size or the thread
+    timing.
 
     Raises
     ------
     ValueError
-        ``reps < 1000``.
+        ``reps < 1000``, a level outside (0, 1), or ``seed < 0``.
     InvalidSeries
         ``n < 20``, as :func:`unit_root_stat` would raise.
     """
-    _check_reps(reps)
+    from concurrent.futures import ThreadPoolExecutor
+
     levels = tuple(float(lv) for lv in levels)
+    _check_reps(reps)
+    _check_levels(levels)
+    _check_seed(seed)
+    _check_unit_root_n(n)
     rng = derive_stream(seed, 1)
     sample = np.empty(reps)
-    done = 0
-    for m in _batch_sizes(reps, n):
-        walks = np.cumsum(rng.standard_normal((m, n)), axis=1)
-        sample[done:done + m] = _unit_root_stats(walks)
-        done += m
+
+    def score(steps: np.ndarray, start: int) -> None:
+        sample[start:start + len(steps)] = _unit_root_stats(np.cumsum(steps, axis=1))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        scoring = None
+        done = 0
+        for m in _batch_sizes(reps, n):
+            steps = rng.standard_normal((m, n))
+            if scoring is not None:
+                scoring.result()
+            scoring = pool.submit(score, steps, done)
+            done += m
+        scoring.result()
     values = np.quantile(sample, levels)[None, :]
     return CriticalTable(
         dims=(1,),

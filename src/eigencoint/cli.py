@@ -263,7 +263,8 @@ def _parse_dims(text: str):
 
 def cmd_crit(args) -> int:
     try:
-        dims = _parse_dims(args.dim)
+        # ascending and distinct, as CriticalTable documents its dims
+        dims = tuple(sorted(set(_parse_dims(args.dim))))
     except ValueError as exc:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
     if not dims:

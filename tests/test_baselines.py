@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -394,7 +396,7 @@ def reference_unit_root_stat(x, bandwidth=None):
     return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 
-@pytest.mark.parametrize("n", [777, 1000])
+@pytest.mark.parametrize("n", [777, 1000, 2500])
 def test_batched_unit_root_table_matches_loop_bitwise(n):
     assert 1000 % (baselines._CHUNK_FLOATS // n) != 0  # a ragged last chunk
     levels = (0.01, 0.05, 0.1, 0.5)
@@ -419,9 +421,80 @@ def test_batched_unit_root_stat_matches_scalar_formula(bandwidth):
         assert unit_root_stat(row, bandwidth) == expected
 
 
+def test_non_contiguous_batch_scores_like_its_rows():
+    rng = derive_stream(56)
+    panel = np.cumsum(rng.standard_normal((300, 3)), axis=0)
+    walks = np.cumsum(rng.standard_normal((6, 200)), axis=1)
+    for batch in (panel.T, walks[::2]):
+        assert not batch.flags.c_contiguous
+        expected = [reference_unit_root_stat(np.ascontiguousarray(row)) for row in batch]
+        assert_array_equal(baselines._unit_root_stats(batch), expected)
+    assert_array_equal(
+        [unit_root_stat(panel[:, i]) for i in range(3)], baselines._unit_root_stats(panel.T)
+    )
+
+
 def test_unit_root_table_rejects_short_series():
     with pytest.raises(InvalidSeries, match="at least 20"):
         unit_root_critical_table(19, reps=1000)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        ({"n": 19}, InvalidSeries, "at least 20"),
+        ({"levels": (1.5,)}, ValueError, "level must lie in"),
+        ({"levels": (0.05, 0.0)}, ValueError, "level must lie in"),
+        ({"seed": -1}, ValueError, "seed >= 0"),
+        ({"reps": 999}, ValueError, "reps >= 1000"),
+    ],
+)
+def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, match):
+    streams = []
+    monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
+    args = {"n": 2500, "levels": (0.05,), "reps": 4000, "seed": 0}
+    args.update(kwargs)
+    with pytest.raises(error, match=match):
+        unit_root_critical_table(**args)
+    assert streams == []
+
+
+def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
+    score = baselines._unit_root_stats
+    chunks = []
+
+    def failing_third(xs):
+        chunks.append(len(xs))
+        if len(chunks) == 3:
+            raise DegenerateComponent("third chunk")
+        return score(xs)
+
+    monkeypatch.setattr(baselines, "_unit_root_stats", failing_third)
+    threads = threading.active_count()
+    with pytest.raises(DegenerateComponent, match="third chunk"):
+        unit_root_critical_table(300, reps=4000)
+    assert len(chunks) == 3
+    assert threading.active_count() == threads
+
+
+def test_unit_root_stat_calls_stay_on_the_traced_path(monkeypatch):
+    # bench/trace.py times calls through the module global unit_root_stat
+    # on one span stack that is not thread-local: sequential_unit_root must
+    # go through it once per tested column, and the table's worker thread
+    # must never reach it.
+    calls = []
+    stat = baselines.unit_root_stat
+
+    def counted(x, bandwidth=None):
+        calls.append(len(x))
+        return stat(x, bandwidth)
+
+    monkeypatch.setattr(baselines, "unit_root_stat", counted)
+    table = unit_root_critical_table(300, reps=1000, seed=0)
+    assert calls == []
+    noise = derive_stream(64).standard_normal((300, 3))
+    assert sequential_unit_root(noise, 0.05, table) == 3
+    assert calls == [300, 300, 300]
 
 
 def test_sequential_rank_full_on_noise_panel(ur_table):

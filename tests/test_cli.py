@@ -396,6 +396,16 @@ def test_crit_dim_ranges(tmp_path):
     assert CriticalTable.from_json(listed.read_text()).dims == (2, 3)
 
 
+def test_crit_dims_sorted_and_distinct(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    assert main(crit_args(out, dim="2,1,1")) == 0
+    assert json.loads(out.read_text())["dims"] == [1, 2]
+    assert "dims [1, 2]" in capsys.readouterr().out
+    alone = tmp_path / "alone.json"
+    main(crit_args(alone, dim="1..2"))
+    assert out.read_bytes() == alone.read_bytes()
+
+
 def test_crit_incompatible_cache_replaced(tmp_path):
     out = tmp_path / "cache.json"
     main(crit_args(out, dim="1", seed="0"))
