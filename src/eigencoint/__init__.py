@@ -41,7 +41,6 @@ from .baselines import (
     TraceResult,
     johansen_trace,
     sequential_unit_root,
-    sim_trace_critical,
     trace_critical_table,
     unit_root_critical_table,
     unit_root_stat,
@@ -88,7 +87,6 @@ __all__ = [
     "TraceResult",
     "johansen_trace",
     "sequential_unit_root",
-    "sim_trace_critical",
     "trace_critical_table",
     "unit_root_critical_table",
     "unit_root_stat",

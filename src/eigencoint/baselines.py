@@ -52,7 +52,7 @@ from .errors import (
     SingularMatrix,
     SingularMoments,
 )
-from .linalg import eigh_desc, solve_spd, symmetrize
+from .linalg import eigh_desc, solve_spd
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
 _MU_CEILING = 1.0 - 1e-12
@@ -206,38 +206,16 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"need seed >= 0, got {seed}")
 
 
-def sim_trace_critical(dim: int, level: float, T: int, reps: int, rng) -> float:
-    """Empirical ``1 - level`` quantile of the trace functional.
-
-    Parameters
-    ----------
-    dim : int
-        Dimension of the random walk (``p - r0`` for the null being tested).
-    level : float
-        Test size in (0, 1).
-    T : int
-        Inner discretization length, at least 100.
-    reps : int
-        Monte Carlo repetitions, at least 1000.
-    rng : numpy.random.Generator
-
-    Returns
-    -------
-    float
-    """
-    _check_sim_args((dim,), (level,), T, reps)
-    sample = _trace_stat_sample(dim, T, reps, rng)
-    return float(np.quantile(sample, 1.0 - level))
-
-
 def trace_critical_table(
     dims, levels=(0.05,), T: int = 1000, reps: int = 2000, seed: int = 0
 ) -> CriticalTable:
     """Simulate trace critical values for several dimensions at once.
 
-    Each dimension draws from the stream ``derive_stream(seed, dim)``, so a
-    table built for dims 1..8 agrees exactly with one built for dims 1..3
-    under the same seed.  Values increase with dimension at fixed level.
+    The table's dims are ``dims`` sorted ascending with repeats dropped, and
+    each is simulated once.  Each dimension draws from the stream
+    ``derive_stream(seed, dim)``, so a table built for dims 1..8 agrees
+    exactly with one built for dims 1..3 under the same seed.  Values
+    increase with dimension at fixed level.
 
     Every dimension and level, and the seed, are validated before any
     simulation starts.  The dimensions are then simulated concurrently on
@@ -249,7 +227,7 @@ def trace_critical_table(
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
     _check_sim_args(dims, levels, T, reps)
     _check_seed(seed)
@@ -262,9 +240,8 @@ def trace_critical_table(
     values = np.empty((len(dims), len(levels)))
     if dims:
         workers = min(len(dims), _usable_cpus())
-        largest_first = sorted(range(len(dims)), key=dims.__getitem__, reverse=True)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(simulate, dims[i]) for i in largest_first}
+            futures = {i: pool.submit(simulate, dims[i]) for i in reversed(range(len(dims)))}
             for i, future in futures.items():
                 values[i] = future.result()
     return CriticalTable(
@@ -360,8 +337,7 @@ def johansen_trace(series, crit: CriticalTable, level: float = 0.05) -> TraceRes
     except SingularMatrix as exc:
         raise SingularMoments(f"difference moment matrix is singular: {exc}") from exc
 
-    m = symmetrize(isqrt11 @ (s01.T @ s00_inv_s01) @ isqrt11)
-    eig = eigh_desc(m)
+    eig = eigh_desc(isqrt11 @ (s01.T @ s00_inv_s01) @ isqrt11)
     mu = np.clip(eig.values, 0.0, _MU_CEILING)
     directions = isqrt11 @ eig.vectors
 

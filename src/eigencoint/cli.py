@@ -263,8 +263,7 @@ def _parse_dims(text: str):
 
 def cmd_crit(args) -> int:
     try:
-        # ascending and distinct, as CriticalTable documents its dims
-        dims = tuple(sorted(set(_parse_dims(args.dim))))
+        dims = _parse_dims(args.dim)
     except ValueError as exc:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
     if not dims:

@@ -155,10 +155,7 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     b[0] = a[0] = 1.0
     b[1 : ma.size + 1, 0] = ma
     a[1 : ar.size + 1, 0] = -ar
-    core = _arma_filter(b, a, rng.standard_normal((n, 1)))[:, 0]
-    for _ in range(int(d)):
-        core = np.cumsum(core)
-    return core
+    return _integrate(_arma_filter(b, a, rng.standard_normal((n, 1)))[:, 0], d)
 
 
 def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -188,8 +185,8 @@ def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
 
     The ARMA core is built exactly as in :func:`gen_arima`; the integration
     operator is then ``x_t = sum_{j=0}^{t-1} a_j(d) * core_{t-j}`` with the
-    coefficients of :func:`frac_coeffs`.  Integer ``d`` in {0, 1, 2} takes
-    the iterated-cumsum path instead, which the all-ones coefficient
+    coefficients of :func:`frac_coeffs`.  Integer ``d`` in {0, 1, 2} is
+    iterated cumulative summation instead, which the all-ones coefficient
     identity makes the exact same series — so ``d=1`` here reproduces
     ``gen_arima(..., d=1, ...)`` on the same stream bit-for-bit.
 
@@ -216,12 +213,23 @@ def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
         raise InvalidOrder(f"fractional order must lie in (-1/2, 2], got {d}")
     if (d - 0.5).is_integer():
         raise InvalidOrder(f"order {d:g} is a half-integer pole")
-    if d.is_integer():
-        return gen_arima(n, ar=ar, d=int(d), ma=ma, rng=rng)
-    n = int(n)
-    core = gen_arima(n, ar=ar, d=0, ma=ma, rng=rng)
+    return _integrate(gen_arima(n, ar=ar, d=0, ma=ma, rng=rng), d)
+
+
+def _integrate(x: np.ndarray, d) -> np.ndarray:
+    """Integrate every column of ``x`` (all axes but 0) to order ``d`` along axis 0.
+
+    An integer ``d`` is ``d`` cumulative sums.  Otherwise each column is
+    convolved with :func:`frac_coeffs` ``(d, n - 1)`` and truncated to its
+    ``n`` rows.  This is the one place a simulated block is integrated.
+    """
+    if _is_integer_order(d):
+        for _ in range(int(d)):
+            x = np.cumsum(x, axis=0)
+        return x
+    n = x.shape[0]
     coeffs = frac_coeffs(d, n - 1)
-    return np.convolve(coeffs, core)[:n]
+    return np.apply_along_axis(lambda col: np.convolve(coeffs, col)[:n], 0, x)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +553,7 @@ def gen_panel(specs):
     for block in spec.nonstationary_blocks:
         cols = slice(lo, lo + block.count)
         lo += block.count
-        if _is_integer_order(block.d):
-            for _ in range(int(block.d)):
-                x[:, :, cols] = np.cumsum(x[:, :, cols], axis=0)
-        else:
-            coeffs = frac_coeffs(block.d, n - 1)
-            for j in range(reps):
-                for c in range(cols.start, cols.stop):
-                    x[:, j, c] = np.convolve(coeffs, x[:, j, c])[:n]
+        x[:, :, cols] = _integrate(x[:, :, cols], block.d)
 
     panels = []
     for j, member in enumerate(batch):

@@ -11,7 +11,6 @@ from eigencoint.baselines import (
     derive_stream,
     johansen_trace,
     sequential_unit_root,
-    sim_trace_critical,
     trace_critical_table,
     unit_root_critical_table,
     unit_root_stat,
@@ -107,6 +106,11 @@ def test_derive_stream_is_keyed():
 # ---------------------------------------------------------------------------
 # simulated trace critical values
 
+def trace_quantile(T, reps, rng, level=0.05):
+    """``1 - level`` quantile of one seeded dim-1 trace sample."""
+    return float(np.quantile(baselines._trace_stat_sample(1, T, reps, rng), 1.0 - level))
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [
@@ -119,34 +123,32 @@ def test_sim_trace_critical_validates_arguments(kwargs, match):
     full = {"dim": 1, "level": 0.05, "T": 100, "reps": 1000}
     full.update(kwargs)
     with pytest.raises(ValueError, match=match):
-        sim_trace_critical(rng=derive_stream(0), **full)
+        trace_critical_table(
+            dims=(full["dim"],), levels=(full["level"],), T=full["T"], reps=full["reps"]
+        )
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.1])
 def test_sim_trace_critical_validates_level(level):
     with pytest.raises(ValueError, match="level"):
-        sim_trace_critical(1, level, 100, 1000, derive_stream(0))
+        trace_critical_table(dims=(1,), levels=(level,), T=100, reps=1000)
 
 
 def test_sim_trace_critical_deterministic():
-    a = sim_trace_critical(1, 0.05, 100, 1000, derive_stream(0, 1))
-    b = sim_trace_critical(1, 0.05, 100, 1000, derive_stream(0, 1))
-    assert a == b
+    table = trace_critical_table((1,), (0.05,), 100, 1000, seed=0)
+    assert table.value(1, 0.05) == trace_quantile(100, 1000, derive_stream(0, 1))
 
 
 def test_sim_trace_critical_seeds_agree():
-    a = sim_trace_critical(1, 0.05, 1000, 6000, derive_stream(101))
-    b = sim_trace_critical(1, 0.05, 1000, 6000, derive_stream(202))
+    a = trace_quantile(1000, 6000, derive_stream(101))
+    b = trace_quantile(1000, 6000, derive_stream(202))
     assert abs(a - b) < 0.15
     assert 7.5 < a < 9.5
 
 
 def test_sim_trace_critical_error_shrinks_with_reps():
     estimates = {
-        reps: [
-            sim_trace_critical(1, 0.05, 100, reps, derive_stream(300 + s))
-            for s in range(16)
-        ]
+        reps: [trace_quantile(100, reps, derive_stream(300 + s)) for s in range(16)]
         for reps in (1000, 4000)
     }
     sd_small = np.std(estimates[1000], ddof=1)
@@ -194,9 +196,27 @@ def test_batched_trace_sample_matches_loop_bitwise(dim):
 def test_threaded_trace_table_matches_loop_bitwise():
     levels = (0.01, 0.05, 0.1)
     table = trace_critical_table(dims=(4, 1, 2), levels=levels, T=100, reps=1000, seed=9)
-    for i, dim in enumerate((4, 1, 2)):
+    assert table.dims == (1, 2, 4)
+    for dim in (4, 1, 2):
         sample = reference_trace_sample(dim, 100, 1000, derive_stream(9, dim))
-        assert_array_equal(table.values[i], np.quantile(sample, [1 - lv for lv in levels]))
+        expected = np.quantile(sample, [1 - lv for lv in levels])
+        assert_array_equal(table.values[table.dims.index(dim)], expected)
+
+
+def test_trace_table_sorts_and_dedupes_dims(monkeypatch):
+    sample = baselines._trace_stat_sample
+    calls = []
+
+    def counted(dim, *args):
+        calls.append(dim)
+        return sample(dim, *args)
+
+    monkeypatch.setattr(baselines, "_trace_stat_sample", counted)
+    table = trace_critical_table(dims=(2, 1, 1), T=100, reps=1000)
+    assert table.dims == (1, 2)
+    assert sorted(calls) == [1, 2]
+    expected = trace_critical_table(dims=(1, 2), T=100, reps=1000)
+    assert_array_equal(table.values, expected.values)
 
 
 def test_trace_table_validates_every_dim_before_simulating(monkeypatch):

@@ -301,3 +301,45 @@ def test_example2_frequency_trend():
     drops = [max(0.0, freqs[i] - freqs[i + 1]) for i in range(2)]
     assert sum(d > 0 for d in drops) <= 1
     assert max(drops) <= 0.03
+
+
+# ---------------------------------------------------------------------------
+# column-permutation invariance on I(2) panels
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 1: on I(2) panels the stationary eigenvalues of W lie "
+        "below eps * lambda_1, so eigh(W)'s rounding, which depends on column "
+        "order, decides the ratio and IC ranks"
+    ),
+)
+def test_rank_rules_invariant_to_column_permutation():
+    # Reversing the columns of y relabels the series and changes no
+    # statistic, so no rank rule may change its decision.
+    from dataclasses import replace
+
+    from eigencoint.harness import _replicate_seed, preset_template
+    from eigencoint.simgen import gen_panel
+
+    n = 2500
+    tpl = preset_template("example3", 10, 6, 2)
+    panels = gen_panel(
+        [replace(tpl, n=n, seed=_replicate_seed(0, 0, k)) for k in range(40)]
+    )
+
+    def ranks(y):
+        eigen = fit(y, 5).eigen
+        out = {"ratio": rank_ratio(eigen, n)}
+        for variant in ("omega1", "omega2", "omega3"):
+            omega = penalty(PenaltySpec(variant), n, eigen.values[-1])
+            out[f"ic_{variant}"] = rank_ic(eigen, omega)
+        return out
+
+    flipped = {}
+    for panel in panels:
+        base, permuted = ranks(panel.y), ranks(panel.y[:, ::-1])
+        for rule in base:
+            flipped[rule] = flipped.get(rule, 0) + (base[rule] != permuted[rule])
+    assert flipped == dict.fromkeys(flipped, 0)
