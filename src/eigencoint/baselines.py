@@ -2,7 +2,9 @@
 
 Both baselines use critical values simulated inside the package (from seeded
 streams recorded in the table metadata) rather than hard-coded external
-tables, so every reported number is reproducible from seeds alone.
+tables, so every reported number is reproducible from seeds alone.  One
+builder, keyed by statistic, makes both tables: each dimension draws from
+``derive_stream(seed, dim)``, and the unit-root table is the ``dims=(1,)`` case.
 
 Trace test
 ----------
@@ -38,7 +40,6 @@ the count of rejections estimates the cointegration rank.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -121,7 +122,7 @@ class CriticalTable:
         rows = {d: self.values[i] for i, d in enumerate(self.dims)}
         rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
         dims = tuple(sorted(rows))
-        values = np.vstack([rows[d] for d in dims])
+        values = np.array([rows[d] for d in dims], dtype=float).reshape(len(dims), len(self.levels))
         return CriticalTable(dims=dims, levels=tuple(self.levels), values=values, meta=dict(self.meta))
 
     def to_dict(self) -> dict:
@@ -132,9 +133,6 @@ class CriticalTable:
             "meta": self.meta,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "CriticalTable":
         return cls(
@@ -143,10 +141,6 @@ class CriticalTable:
             values=np.asarray(data["values"], dtype=float),
             meta=dict(data["meta"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CriticalTable":
-        return cls.from_dict(json.loads(text))
 
 
 def _batch_sizes(total: int, row: int):
@@ -180,28 +174,21 @@ def _trace_stat_sample(dim: int, T: int, reps: int, rng) -> np.ndarray:
     return stats
 
 
-def _check_sim_args(dims, levels, T: int, reps: int) -> None:
+def _check_table_args(statistic: str, dims, levels, T: int, reps: int, seed: int) -> None:
+    """Raise on any argument :func:`_critical_table` rejects; for
+    ``"unit_root"``, ``T`` is the series length ``n``."""
     for dim in dims:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
-    _check_levels(levels)
-    if T < 100:
-        raise ValueError(f"need T >= 100, got {T}")
-    _check_reps(reps)
-
-
-def _check_levels(levels) -> None:
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
-
-
-def _check_reps(reps: int) -> None:
+    if statistic != "trace":
+        _check_unit_root_n(T)
+    elif T < 100:
+        raise ValueError(f"need T >= 100, got {T}")
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
-
-
-def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
 
@@ -225,17 +212,28 @@ def trace_critical_table(
     not depend on the thread count or on the order in which dimensions
     finish.
     """
+    return _critical_table("trace", dims, levels, T, reps, seed)
+
+
+def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
+    """The ``"trace"`` or ``"unit_root"`` table, as its public wrapper documents.
+
+    The sampler is looked up at call time, so it can be wrapped.  Trace
+    tables store upper-tail (``1 - level``) quantiles, unit-root tables
+    lower-tail (``level``) ones.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
     dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
-    _check_sim_args(dims, levels, T, reps)
-    _check_seed(seed)
-    quantiles = [1.0 - lv for lv in levels]
+    _check_table_args(statistic, dims, levels, T, reps, seed)
+    if statistic == "trace":
+        sampler, quantiles = _trace_stat_sample, [1.0 - lv for lv in levels]
+    else:
+        sampler, quantiles = _unit_root_stat_sample, list(levels)
 
     def simulate(dim: int) -> np.ndarray:
-        sample = _trace_stat_sample(dim, T, reps, derive_stream(seed, dim))
-        return np.quantile(sample, quantiles)
+        return np.quantile(sampler(dim, T, reps, derive_stream(seed, dim)), quantiles)
 
     values = np.empty((len(dims), len(levels)))
     if dims:
@@ -248,7 +246,7 @@ def trace_critical_table(
         dims=dims,
         levels=levels,
         values=values,
-        meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": "trace"},
+        meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic},
     )
 
 
@@ -450,17 +448,11 @@ def unit_root_critical_table(
     """Simulate the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the same length ``n`` as the series
-    to be tested; the table stores lower-tail (``level``) quantiles.
-
-    Every argument is validated before the first draw.  The calling thread
-    then draws the walks' steps from the one stream ``derive_stream(seed,
-    1)`` in ``(m, n)`` chunks, in the order of one walk at a time, while one
-    worker thread cumsums and scores (:func:`_unit_root_stats`) the previous
-    chunk into its own slice of the sample; at most two chunks are in
-    flight.  The stream is consumed only by the calling thread and each
-    walk's arithmetic does not depend on its chunk, so the values are
-    bitwise those of a per-walk loop, whatever the chunk size or the thread
-    timing.
+    to be tested; the table stores lower-tail (``level``) quantiles.  It is
+    the ``dims=(1,)`` table of the shared builder, so its walks come from
+    the one stream ``derive_stream(seed, 1)``
+    (:func:`_unit_root_stat_sample`), and its values are bitwise those of
+    one walk at a time.  Every argument is validated before the first draw.
 
     Raises
     ------
@@ -469,14 +461,23 @@ def unit_root_critical_table(
     InvalidSeries
         ``n < 20``, as :func:`unit_root_stat` would raise.
     """
+    return _critical_table("unit_root", (1,), levels, n, reps, seed)
+
+
+def _unit_root_stat_sample(dim: int, n: int, reps: int, rng) -> np.ndarray:
+    """Seeded sample of :func:`unit_root_stat` on random walks of length ``n``.
+
+    ``dim`` is the table's only dimension, 1: the statistic is univariate.
+    The calling thread draws the walks' steps from ``rng`` in ``(m, n)``
+    chunks, in the order of one walk at a time, while one worker thread
+    cumsums and scores (:func:`_unit_root_stats`) the previous chunk into its
+    own slice of the sample; at most two chunks are in flight.  Only the
+    calling thread reads the stream and each walk's arithmetic does not
+    depend on its chunk, so the sample is bitwise that of a per-walk loop,
+    whatever the chunk size or the thread timing.
+    """
     from concurrent.futures import ThreadPoolExecutor
 
-    levels = tuple(float(lv) for lv in levels)
-    _check_reps(reps)
-    _check_levels(levels)
-    _check_seed(seed)
-    _check_unit_root_n(n)
-    rng = derive_stream(seed, 1)
     sample = np.empty(reps)
 
     def score(steps: np.ndarray, start: int) -> None:
@@ -492,13 +493,7 @@ def unit_root_critical_table(
             scoring = pool.submit(score, steps, done)
             done += m
         scoring.result()
-    values = np.quantile(sample, levels)[None, :]
-    return CriticalTable(
-        dims=(1,),
-        levels=levels,
-        values=values,
-        meta={"T": int(n), "reps": int(reps), "seed": int(seed), "statistic": "unit_root"},
-    )
+    return sample
 
 
 def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:

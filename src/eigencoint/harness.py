@@ -33,9 +33,7 @@ import numpy as np
 
 from .baselines import (
     _UNIT_ROOT_MIN_N,
-    CriticalTable,
-    _check_reps,
-    _check_sim_args,
+    _check_table_args,
     _trace_min_n,
     johansen_trace,
     trace_critical_table,
@@ -180,10 +178,17 @@ class ExperimentPlan:
                 raise ValueError(
                     f"fractional_ratio requires fractional scenarios; {bad} are not"
                 )
+        # Each table is checked with the exact arguments run_plan passes it.
         if "johansen" in self.estimators:
-            _check_sim_args((), (), self.crit_T, self.crit_reps)
+            _check_table_args(
+                "trace", range(1, max(s.p for s in scenarios) + 1), (self.level,),
+                self.crit_T, self.crit_reps, self.master_seed,
+            )
         if "unitroot" in self.estimators:
-            _check_reps(self.ur_reps)
+            for n in self.n_grid:
+                _check_table_args(
+                    "unit_root", (1,), (self.level,), n, self.ur_reps, self.master_seed
+                )
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""
@@ -384,26 +389,18 @@ def _aggregate_cell(
             f"cell ({scenario.name}, n={n}, {est}): {failures}/{len(hits)} "
             "replicates failed"
         )
-    if good:
-        dists = np.array([rec.dist for rec in good])
-        freq = float(np.mean([rec.r_est == scenario.r for rec in good]))
-        dist_mean = float(dists.mean())
-        dist_sd = float(dists.std(ddof=1)) if dists.size > 1 else 0.0
-        quantiles = {
-            str(q): float(np.quantile(dists, q)) for q in _QUANTILES
-        }
-    else:
-        freq, dist_mean, dist_sd, quantiles = float("nan"), float("nan"), float("nan"), {}
+    # Within the budget, at least one replicate of the cell succeeded.
+    dists = np.array([rec.dist for rec in good])
     return CellResult(
         scenario=scenario.name,
         p=scenario.p,
         r=scenario.r,
         n=n,
         estimator=est,
-        freq_correct=freq,
-        dist_mean=dist_mean,
-        dist_sd=dist_sd,
-        dist_quantiles=quantiles,
+        freq_correct=float(np.mean([rec.r_est == scenario.r for rec in good])),
+        dist_mean=float(dists.mean()),
+        dist_sd=float(dists.std(ddof=1)) if dists.size > 1 else 0.0,
+        dist_quantiles={str(q): float(np.quantile(dists, q)) for q in _QUANTILES},
         reps=plan.reps,
         failures=failures,
         seed=plan.master_seed,

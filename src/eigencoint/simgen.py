@@ -37,7 +37,6 @@ part.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -412,9 +411,6 @@ class ScenarioSpec:
             data.update(n=int(self.n), seed=int(self.seed))
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         return cls(
@@ -427,10 +423,6 @@ class ScenarioSpec:
             seed=data.get("seed", 0),
             name=data.get("name", ""),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import numpy as np
@@ -83,9 +84,18 @@ def test_merged_rejects_incompatible_tables():
         base.merged(other_meta)
 
 
+def test_merge_with_a_table_without_dims():
+    base = hand_table((1, 2), [[3.0], [11.0]])
+    empty = hand_table((), np.empty((0, 1)))
+    for merged in (base.merged(empty), empty.merged(base)):
+        assert merged.dims == (1, 2)
+        assert_array_equal(merged.values, base.values)
+    assert empty.merged(empty).values.shape == (0, 1)
+
+
 def test_table_json_round_trip():
     table = hand_table((1, 2), [[3.0, 2.5], [11.0, 10.0]], levels=(0.05, 0.10))
-    again = CriticalTable.from_json(table.to_json())
+    again = CriticalTable.from_dict(json.loads(json.dumps(table.to_dict())))
     assert again.dims == table.dims
     assert again.levels == table.levels
     assert again.meta == table.meta

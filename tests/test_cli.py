@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eigencoint import __version__
+from eigencoint import __version__, baselines
 from eigencoint.baselines import CriticalTable
 from eigencoint.cli import main
 from eigencoint.harness import ExperimentPlan
@@ -361,7 +361,7 @@ def crit_args(out, dim="1", reps="1000", seed="0"):
 def test_crit_writes_table(tmp_path, capsys):
     out = tmp_path / "cache.json"
     assert main(crit_args(out)) == 0
-    table = CriticalTable.from_json(out.read_text())
+    table = CriticalTable.from_dict(json.loads(out.read_text()))
     assert table.dims == (1,)
     assert table.levels == (0.05,)
     assert table.meta["T"] == 100
@@ -371,9 +371,9 @@ def test_crit_writes_table(tmp_path, capsys):
 def test_crit_merges_compatible_cache(tmp_path):
     out = tmp_path / "cache.json"
     main(crit_args(out, dim="1"))
-    first = CriticalTable.from_json(out.read_text())
+    first = CriticalTable.from_dict(json.loads(out.read_text()))
     main(crit_args(out, dim="2"))
-    merged = CriticalTable.from_json(out.read_text())
+    merged = CriticalTable.from_dict(json.loads(out.read_text()))
     assert merged.dims == (1, 2)
     assert merged.value(1, 0.05) == first.value(1, 0.05)
     assert merged.value(1, 0.05) < merged.value(2, 0.05)
@@ -390,10 +390,10 @@ def test_crit_rerun_is_idempotent(tmp_path):
 def test_crit_dim_ranges(tmp_path):
     out = tmp_path / "cache.json"
     assert main(crit_args(out, dim="1..3")) == 0
-    assert CriticalTable.from_json(out.read_text()).dims == (1, 2, 3)
+    assert CriticalTable.from_dict(json.loads(out.read_text())).dims == (1, 2, 3)
     listed = tmp_path / "cache2.json"
     assert main(crit_args(listed, dim="2,3")) == 0
-    assert CriticalTable.from_json(listed.read_text()).dims == (2, 3)
+    assert CriticalTable.from_dict(json.loads(listed.read_text())).dims == (2, 3)
 
 
 def test_crit_dims_sorted_and_distinct(tmp_path, capsys):
@@ -406,22 +406,49 @@ def test_crit_dims_sorted_and_distinct(tmp_path, capsys):
     assert out.read_bytes() == alone.read_bytes()
 
 
+def test_crit_simulates_only_dims_missing_from_cache(tmp_path, monkeypatch):
+    sample = baselines._trace_stat_sample
+    calls = []
+
+    def counted(dim, *args):
+        calls.append(dim)
+        return sample(dim, *args)
+
+    monkeypatch.setattr(baselines, "_trace_stat_sample", counted)
+    out = tmp_path / "cache.json"
+    assert main(crit_args(out, dim="1..2")) == 0
+    assert sorted(calls) == [1, 2]
+    calls.clear()
+    assert main(crit_args(out, dim="1..3")) == 0
+    assert calls == [3]
+    fresh = tmp_path / "fresh.json"
+    assert main(crit_args(fresh, dim="1..3")) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    calls.clear()
+    assert main(crit_args(out, dim="2,1")) == 0
+    assert calls == []
+    assert out.read_bytes() == fresh.read_bytes()
+
+
 def test_crit_incompatible_cache_replaced(tmp_path):
     out = tmp_path / "cache.json"
     main(crit_args(out, dim="1", seed="0"))
     main(crit_args(out, dim="2", seed="1"))
-    table = CriticalTable.from_json(out.read_text())
+    table = CriticalTable.from_dict(json.loads(out.read_text()))
     assert table.dims == (2,)
     assert table.meta["seed"] == 1
 
 
 def test_crit_corrupt_cache_replaced(tmp_path):
     out = tmp_path / "cache.json"
-    # Not JSON, then JSON that is not a table object.
-    for content in ("garbage", "[]", "3"):
+    # Not JSON, JSON that is not a table object, then a compatible table
+    # with a row missing.
+    short = {"dims": [1, 2], "levels": [0.05], "values": [[1.0]],
+             "meta": {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace"}}
+    for content in ("garbage", "[]", "3", json.dumps(short)):
         out.write_text(content)
         assert main(crit_args(out)) == 0
-        assert CriticalTable.from_json(out.read_text()).dims == (1,)
+        assert CriticalTable.from_dict(json.loads(out.read_text())).dims == (1,)
 
 
 def test_crit_rejects_bad_arguments(tmp_path, capsys):

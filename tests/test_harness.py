@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from eigencoint import harness
-from eigencoint.errors import ExperimentFailure, SingularMixing
+from eigencoint.errors import DegenerateComponent, ExperimentFailure, SingularMixing
 from eigencoint.harness import (
     ESTIMATORS,
     PRESET_CELLS,
@@ -234,6 +234,29 @@ def test_mixing_failure_lands_on_its_own_replicate(monkeypatch):
             assert (after.r_est, after.dist, after.error) == (None, None, "SingularMixing")
         else:
             assert after == before
+
+
+def test_estimator_failure_lands_on_its_own_record(monkeypatch):
+    plan = small_plan(reps=20, estimators=("ratio", "unitroot"), ur_reps=1000)
+    clean = run_plan(plan).replicates
+    sequential = harness.sequential_unit_root
+    calls = []
+
+    def failing_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DegenerateComponent("forced")
+        return sequential(*args)
+
+    monkeypatch.setattr(harness, "sequential_unit_root", failing_first)
+    patched = run_plan(plan)
+    assert len(patched.replicates) == len(clean)
+    changed = [(b, a) for b, a in zip(clean, patched.replicates) if a != b]
+    assert len(changed) == 1
+    before, after = changed[0]
+    assert before.estimator == "unitroot" and not before.failed
+    assert after == replace(before, r_est=None, dist=None, error="DegenerateComponent")
+    assert {c.estimator: c.failures for c in patched.cells} == {"ratio": 0, "unitroot": 1}
 
 
 @pytest.mark.parametrize(
