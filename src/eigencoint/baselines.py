@@ -122,7 +122,7 @@ class CriticalTable:
         rows = {d: self.values[i] for i, d in enumerate(self.dims)}
         rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
         dims = tuple(sorted(rows))
-        values = np.array([rows[d] for d in dims], dtype=float).reshape(len(dims), len(self.levels))
+        values = np.vstack([rows[d] for d in dims])
         return CriticalTable(dims=dims, levels=tuple(self.levels), values=values, meta=dict(self.meta))
 
     def to_dict(self) -> dict:
@@ -183,10 +183,13 @@ def _check_table_args(statistic: str, dims, levels, T: int, reps: int, seed: int
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
-    if statistic != "trace":
+    if statistic == "trace":
+        if T < 100:
+            raise ValueError(f"need T >= 100, got {T}")
+    elif statistic == "unit_root":
         _check_unit_root_n(T)
-    elif T < 100:
-        raise ValueError(f"need T >= 100, got {T}")
+    else:
+        raise ValueError(f"unknown statistic {statistic!r}; expected 'trace' or 'unit_root'")
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
     if seed < 0:
@@ -227,10 +230,10 @@ def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) 
     dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
     _check_table_args(statistic, dims, levels, T, reps, seed)
-    if statistic == "trace":
-        sampler, quantiles = _trace_stat_sample, [1.0 - lv for lv in levels]
-    else:
-        sampler, quantiles = _unit_root_stat_sample, list(levels)
+    sampler, quantiles = {
+        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels]),
+        "unit_root": (_unit_root_stat_sample, list(levels)),
+    }[statistic]
 
     def simulate(dim: int) -> np.ndarray:
         return np.quantile(sampler(dim, T, reps, derive_stream(seed, dim)), quantiles)

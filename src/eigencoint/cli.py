@@ -268,21 +268,19 @@ def cmd_crit(args) -> int:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
     if not dims:
         raise _InputError(f"bad --dim {args.dim!r}: no dimensions")
-    request = dict(levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed)
     try:
-        # A table with no dims checks the request and carries its levels and
-        # meta, so merging it into the cache tests compatibility; no draws.
-        table = trace_critical_table(dims=(), **request)
-        if os.path.exists(args.out):
-            try:
-                with open(args.out, encoding="utf-8") as fh:
-                    table = CriticalTable.from_dict(json.load(fh)).merged(table)
-            except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError):
-                pass  # incompatible or corrupt cache: replace it
-        missing = [d for d in dims if d not in table.dims]
-        table = table.merged(trace_critical_table(dims=missing, **request))
+        table = trace_critical_table(
+            dims=dims, levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed
+        )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    if os.path.exists(args.out):
+        try:
+            with open(args.out, encoding="utf-8") as fh:
+                existing = CriticalTable.from_dict(json.load(fh))
+            table = existing.merged(table)
+        except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError):
+            pass  # incompatible or corrupt cache: replace it
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
     print(f"wrote {args.out} (dims {list(table.dims)}, levels {list(table.levels)})")

@@ -178,17 +178,13 @@ class ExperimentPlan:
                 raise ValueError(
                     f"fractional_ratio requires fractional scenarios; {bad} are not"
                 )
-        # Each table is checked with the exact arguments run_plan passes it.
+        # Level, seed and n were checked above; these are the other table arguments.
         if "johansen" in self.estimators:
-            _check_table_args(
-                "trace", range(1, max(s.p for s in scenarios) + 1), (self.level,),
-                self.crit_T, self.crit_reps, self.master_seed,
-            )
+            _check_table_args("trace", (), (), self.crit_T, self.crit_reps, self.master_seed)
         if "unitroot" in self.estimators:
-            for n in self.n_grid:
-                _check_table_args(
-                    "unit_root", (1,), (self.level,), n, self.ur_reps, self.master_seed
-                )
+            _check_table_args(
+                "unit_root", (), (), min(self.n_grid), self.ur_reps, self.master_seed
+            )
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""

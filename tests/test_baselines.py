@@ -84,15 +84,6 @@ def test_merged_rejects_incompatible_tables():
         base.merged(other_meta)
 
 
-def test_merge_with_a_table_without_dims():
-    base = hand_table((1, 2), [[3.0], [11.0]])
-    empty = hand_table((), np.empty((0, 1)))
-    for merged in (base.merged(empty), empty.merged(base)):
-        assert merged.dims == (1, 2)
-        assert_array_equal(merged.values, base.values)
-    assert empty.merged(empty).values.shape == (0, 1)
-
-
 def test_table_json_round_trip():
     table = hand_table((1, 2), [[3.0, 2.5], [11.0, 10.0]], levels=(0.05, 0.10))
     again = CriticalTable.from_dict(json.loads(json.dumps(table.to_dict())))
@@ -486,6 +477,14 @@ def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, ma
     args.update(kwargs)
     with pytest.raises(error, match=match):
         unit_root_critical_table(**args)
+    assert streams == []
+
+
+def test_table_builder_rejects_unknown_statistic(monkeypatch):
+    streams = []
+    monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
+    with pytest.raises(ValueError, match="unknown statistic 'unitroot'"):
+        baselines._critical_table("unitroot", (1,), (0.05,), 300, 1000, 0)
     assert streams == []
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eigencoint import __version__, baselines
+from eigencoint import __version__
 from eigencoint.baselines import CriticalTable
 from eigencoint.cli import main
 from eigencoint.harness import ExperimentPlan
@@ -404,30 +404,6 @@ def test_crit_dims_sorted_and_distinct(tmp_path, capsys):
     alone = tmp_path / "alone.json"
     main(crit_args(alone, dim="1..2"))
     assert out.read_bytes() == alone.read_bytes()
-
-
-def test_crit_simulates_only_dims_missing_from_cache(tmp_path, monkeypatch):
-    sample = baselines._trace_stat_sample
-    calls = []
-
-    def counted(dim, *args):
-        calls.append(dim)
-        return sample(dim, *args)
-
-    monkeypatch.setattr(baselines, "_trace_stat_sample", counted)
-    out = tmp_path / "cache.json"
-    assert main(crit_args(out, dim="1..2")) == 0
-    assert sorted(calls) == [1, 2]
-    calls.clear()
-    assert main(crit_args(out, dim="1..3")) == 0
-    assert calls == [3]
-    fresh = tmp_path / "fresh.json"
-    assert main(crit_args(fresh, dim="1..3")) == 0
-    assert out.read_bytes() == fresh.read_bytes()
-    calls.clear()
-    assert main(crit_args(out, dim="2,1")) == 0
-    assert calls == []
-    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_crit_incompatible_cache_replaced(tmp_path):
