@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
+    _UNIT_ROOT_MIN_N,
     CriticalTable,
     sequential_unit_root,
     trace_critical_table,
@@ -150,6 +151,11 @@ def cmd_analyze(config: AnalyzeConfig) -> int:
         raise _InputError(
             f"{config.input}: {n} rows is too short for j0={config.j0} "
             f"(need n > j0 + 1)"
+        )
+    if "unitroot" in config.methods and n < _UNIT_ROOT_MIN_N:
+        raise _InputError(
+            f"{config.input}: {n} rows is too short for unitroot "
+            f"(need n >= {_UNIT_ROOT_MIN_N})"
         )
     fitted = fit(y, config.j0)
     report = {

@@ -25,6 +25,7 @@ Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -43,6 +44,7 @@ from .baselines import (
 from .errors import EigencointError, ExperimentFailure
 from .ranksel import (
     PenaltySpec,
+    _check_fractional_args,
     fit,
     penalty,
     rank_ic,
@@ -71,7 +73,12 @@ FAILURE_BUDGET = 0.05
 #: the replicates of a chunk are generated together, in one recursion.
 _CHUNK_FLOATS = 2**20
 
-_IC_VARIANTS = {"ic_omega1": "omega1", "ic_omega2": "omega2", "ic_omega3": "omega3"}
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError unless it is a whole number."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,11 @@ class ExperimentPlan:
         simulation; checked when ``unitroot`` is requested.
     fractional_d_min, fractional_delta : float
         Parameters of the fractional ratio rule; ``fractional_d_min=None``
-        uses each scenario's true smallest order.
+        uses each scenario's true smallest order.  Checked (``d_min > 1/2``,
+        ``0 <= delta < 1/2``) when ``fractional_ratio`` is requested.
+
+    The sample sizes and the integer fields must be whole numbers; a float
+    such as ``2.0`` is stored as ``2``, and ``2.5`` raises ``ValueError``.
     """
 
     scenarios: tuple
@@ -133,7 +144,9 @@ class ExperimentPlan:
             for s in self.scenarios
         )
         object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_integer("n_grid", n) for n in self.n_grid))
+        for field in ("reps", "master_seed", "j0", "crit_T", "crit_reps", "ur_reps"):
+            object.__setattr__(self, field, _integer(field, getattr(self, field)))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not scenarios or not self.n_grid or not self.estimators:
             raise ValueError(
@@ -154,47 +167,39 @@ class ExperimentPlan:
                 )
             for n in self.n_grid:
                 replace(s, n=n)
-            needs = {"johansen": _trace_min_n(s.p), "unitroot": _UNIT_ROOT_MIN_N}
-            for est, need in needs.items():
-                if est in self.estimators and min(self.n_grid) < need:
-                    raise ValueError(
-                        f"{est} needs n >= {need} on scenario {s.name!r}, "
-                        f"got n_grid {list(self.n_grid)}"
-                    )
         names = [s.name for s in scenarios]
         if len(set(names)) < len(names):
             raise ValueError(f"scenario names must be distinct, got {names}")
-        if not 0 <= self.j0 <= min(self.n_grid) - 2:
+        n_min = min(self.n_grid)
+        if not 0 <= self.j0 <= n_min - 2:
             raise ValueError(
                 f"need 0 <= j0 <= min(n_grid) - 2, got j0={self.j0} "
                 f"with n_grid {list(self.n_grid)}"
             )
+        # Level, seed and every n were checked above; each estimator's own
+        # checks follow, through the functions its estimation calls.
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}; expected {ESTIMATORS}")
-        if "fractional_ratio" in self.estimators:
-            bad = [s.name for s in scenarios if not s.is_fractional]
-            if bad:
-                raise ValueError(
-                    f"fractional_ratio requires fractional scenarios; {bad} are not"
-                )
-        # Level, seed and n were checked above; these are the other table arguments.
-        if "johansen" in self.estimators:
-            _check_table_args("trace", (), (), self.crit_T, self.crit_reps, self.master_seed)
-        if "unitroot" in self.estimators:
-            _check_table_args(
-                "unit_root", (), (), min(self.n_grid), self.ur_reps, self.master_seed
-            )
+            for s in scenarios:
+                need = {"johansen": _trace_min_n(s.p), "unitroot": _UNIT_ROOT_MIN_N}.get(est, 0)
+                if n_min < need:
+                    raise ValueError(f"{est} needs n >= {need} on scenario {s.name!r}, "
+                                     f"got n_grid {list(self.n_grid)}")
+                if est == "fractional_ratio":
+                    if not s.is_fractional:
+                        raise ValueError(f"{est} requires fractional scenarios; {s.name!r} is not")
+                    d_min = s.d_min if self.fractional_d_min is None else self.fractional_d_min
+                    _check_fractional_args(d_min, self.fractional_delta)
+            if est == "johansen":
+                _check_table_args("trace", (), (), self.crit_T, self.crit_reps, self.master_seed)
+            elif est == "unitroot":
+                _check_table_args("unit_root", (), (), n_min, self.ur_reps, self.master_seed)
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""
-        out = []
-        ci = 0
-        for scenario in self.scenarios:
-            for n in self.n_grid:
-                out.append((ci, scenario, n))
-                ci += 1
-        return out
+        grid = [(scenario, n) for scenario in self.scenarios for n in self.n_grid]
+        return [(ci, scenario, n) for ci, (scenario, n) in enumerate(grid)]
 
     def to_dict(self) -> dict:
         return {
@@ -274,19 +279,35 @@ def _replicate_seed(master_seed: int, cell_index: int, replicate: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _orthonormal_leading(directions: np.ndarray, r: int) -> np.ndarray:
-    if r == 0:
-        return directions[:, :0]
-    return np.linalg.qr(directions[:, :r])[0]
+def _estimate(plan, scenario, n, est, fitted, panel, tables):
+    """Rank ``r_est`` and cointegration-space basis ``a2`` of estimator
+    ``est`` on one replicate; ``tables`` is :func:`run_plan`'s mapping."""
+    if est == "johansen":
+        res = johansen_trace(panel.y, tables[est], plan.level)
+        return res.selected_r, np.linalg.qr(res.directions[:, :res.selected_r])[0]
+    if est == "ratio":
+        r_est = rank_ratio(fitted.eigen, n)
+    elif est == "unitroot":
+        r_est = sequential_unit_root(fitted.x_hat, plan.level, tables[est][n])
+    elif est == "fractional_ratio":
+        d_min = scenario.d_min if plan.fractional_d_min is None else plan.fractional_d_min
+        r_est = rank_ratio_fractional(fitted.eigen, n, d_min, plan.fractional_delta)
+    else:
+        omega = penalty(
+            PenaltySpec(est.removeprefix("ic_")), n, fitted.eigen.values[-1]
+        )
+        r_est = rank_ic(fitted.eigen, omega)
+    return r_est, split(fitted, r_est)[1]
 
 
-def _run_chunk(plan, cell, trace_table, ur_table, ks: range) -> list:
+def _run_chunk(plan, cell, tables, ks: range) -> list:
     """All estimator records for replicates ``ks`` of ``cell``, in order.
 
     ``cell`` is one ``(ci, scenario, n)`` entry of :meth:`ExperimentPlan.cells`.
     The chunk's panels are generated together; if that raises, each
     replicate regenerates its own panel, so an error lands on the replicate
-    that caused it.
+    that caused it.  A replicate whose panel or fit fails has every
+    estimator's record fail with that error.
     """
     ci, scenario, n = cell
     specs = [
@@ -297,77 +318,28 @@ def _run_chunk(plan, cell, trace_table, ur_table, ks: range) -> list:
         panels = gen_panel(specs)
     except EigencointError:
         panels = [None] * len(specs)
-    return [
-        rec
-        for k, spec, panel in zip(ks, specs, panels)
-        for rec in _run_replicate(
-            plan, cell, trace_table, ur_table, k, spec, panel
-        )
-    ]
-
-
-def _run_replicate(
-    plan, cell, trace_table, ur_table, k: int, spec: ScenarioSpec, panel
-) -> list:
-    """All estimator records for replicate ``k``, whose panel ``spec`` gives.
-
-    ``panel`` is the already generated panel, or None to generate it here.
-    """
-    _, scenario, n = cell
-    base = dict(
-        scenario=scenario.name, p=scenario.p, r=scenario.r, n=n, replicate=k
-    )
-    try:
-        if panel is None:
-            panel = gen_panel(spec)
-        fitted = fit(panel.y, plan.j0)
-    except EigencointError as exc:
-        return [
-            ReplicateRecord(
-                **base, estimator=est, r_est=None, dist=None,
-                error=type(exc).__name__,
-            )
-            for est in plan.estimators
-        ]
-
     records = []
-    for est in plan.estimators:
+    for k, spec, panel in zip(ks, specs, panels):
+        fit_error = ""
         try:
-            if est == "ratio":
-                r_est = rank_ratio(fitted.eigen, n)
-                a2 = split(fitted, r_est)[1]
-            elif est in _IC_VARIANTS:
-                omega = penalty(
-                    PenaltySpec(_IC_VARIANTS[est]), n, fitted.eigen.values[-1]
-                )
-                r_est = rank_ic(fitted.eigen, omega)
-                a2 = split(fitted, r_est)[1]
-            elif est == "fractional_ratio":
-                d_min = plan.fractional_d_min
-                if d_min is None:
-                    d_min = scenario.d_min
-                r_est = rank_ratio_fractional(
-                    fitted.eigen, n, d_min, plan.fractional_delta
-                )
-                a2 = split(fitted, r_est)[1]
-            elif est == "unitroot":
-                r_est = sequential_unit_root(fitted.x_hat, plan.level, ur_table)
-                a2 = split(fitted, r_est)[1]
-            else:  # johansen
-                res = johansen_trace(panel.y, trace_table, plan.level)
-                r_est = res.selected_r
-                a2 = _orthonormal_leading(res.directions, r_est)
-            dist = dist_d1(a2, panel.b2)
-            records.append(
-                ReplicateRecord(**base, estimator=est, r_est=r_est, dist=dist)
-            )
+            if panel is None:
+                panel = gen_panel(spec)
+            fitted = fit(panel.y, plan.j0)
         except EigencointError as exc:
-            records.append(
-                ReplicateRecord(
-                    **base, estimator=est, r_est=None, dist=None,
-                    error=type(exc).__name__,
-                )
-            )
+            fit_error = type(exc).__name__
+        for est in plan.estimators:
+            r_est = dist = None
+            error = fit_error
+            if not error:
+                try:
+                    r_est, a2 = _estimate(plan, scenario, n, est, fitted, panel, tables)
+                    dist = dist_d1(a2, panel.b2)
+                except EigencointError as exc:
+                    r_est, error = None, type(exc).__name__
+            records.append(ReplicateRecord(
+                scenario=scenario.name, p=scenario.p, r=scenario.r, n=n,
+                estimator=est, replicate=k, r_est=r_est, dist=dist, error=error,
+            ))
     return records
 
 
@@ -415,38 +387,35 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
     ExperimentFailure
         When more than ``FAILURE_BUDGET`` of a cell's replicates fail.
     """
-    trace_table = None
+    tables = {}
     if "johansen" in plan.estimators:
         # One table for every cell: each dimension has its own stream, so
         # its rows do not depend on which other dimensions are simulated.
-        trace_table = trace_critical_table(
+        tables["johansen"] = trace_critical_table(
             dims=range(1, max(s.p for s in plan.scenarios) + 1),
             levels=(plan.level,),
             T=plan.crit_T,
             reps=plan.crit_reps,
             seed=plan.master_seed,
         )
-    ur_tables = {}
     if "unitroot" in plan.estimators:
-        for n in sorted(set(plan.n_grid)):
-            ur_tables[n] = unit_root_critical_table(
+        tables["unitroot"] = {
+            n: unit_root_critical_table(
                 n=n, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
             )
+            for n in sorted(set(plan.n_grid))
+        }
 
     all_cells = []
     all_records = []
     for cell in plan.cells():
         _, scenario, n = cell
-        ur_table = ur_tables.get(n)
         size = max(1, _CHUNK_FLOATS // (scenario.p * n))
         start = time.perf_counter()
         records = [
             rec
             for lo in range(0, plan.reps, size)
-            for rec in _run_chunk(
-                plan, cell, trace_table, ur_table,
-                range(lo, min(lo + size, plan.reps)),
-            )
+            for rec in _run_chunk(plan, cell, tables, range(lo, min(lo + size, plan.reps)))
         ]
         runtime = time.perf_counter() - start
         all_records.extend(records)

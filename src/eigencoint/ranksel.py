@@ -228,6 +228,14 @@ def penalty(spec: PenaltySpec, n: int, lambda_p: float) -> float:
     return float(n) ** _PENALTY_EXPONENTS[spec.variant] * float(lambda_p)
 
 
+def _check_fractional_args(d_min: float, delta: float) -> None:
+    """Raise unless ``d_min > 1/2`` and ``0 <= delta < 1/2``."""
+    if not d_min > 0.5:
+        raise ValueError(f"d_min must exceed 1/2, got {d_min}")
+    if not (0.0 <= delta < 0.5):
+        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
+
+
 def rank_ratio_fractional(
     eigen: EigenSystem, n: int, d_min: float, delta: float
 ) -> int:
@@ -247,10 +255,7 @@ def rank_ratio_fractional(
     ValueError
         Parameters outside ``d_min > 1/2`` or ``0 <= delta < 1/2``.
     """
-    if not d_min > 0.5:
-        raise ValueError(f"d_min must exceed 1/2, got {d_min}")
-    if not (0.0 <= delta < 0.5):
-        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
+    _check_fractional_args(d_min, delta)
     values = _validate_spectrum(eigen)
     exponent = d_min + delta - 1.0
     threshold = float(n) ** exponent * values[-1]

@@ -46,13 +46,25 @@ def _check_orthonormal(a: np.ndarray, name: str) -> None:
         )
 
 
-def _empty_case(r_star: int, r: int) -> float | None:
-    """Common zero-width convention: 0 if both empty, 1 if exactly one is."""
-    if r_star == 0 and r == 0:
-        return 0.0
-    if r_star == 0 or r == 0:
-        return 1.0
-    return None
+def _pair(a_hat2, other, name: str):
+    """Both bases as 2-D arrays over the same rows, plus the zero-width
+    convention's distance (0 if both are empty, 1 if exactly one is), or
+    None when neither is empty."""
+    x = _as_basis(a_hat2, "a_hat2")
+    y = _as_basis(other, name)
+    if x.shape[0] != y.shape[0]:
+        raise DimensionMismatch(
+            f"bases live in different spaces: p={x.shape[0]} vs p={y.shape[0]}"
+        )
+    if x.shape[1] == 0 or y.shape[1] == 0:
+        return x, y, float(x.shape[1] != y.shape[1])
+    return x, y, None
+
+
+def _distance(overlap: float, width: int) -> float:
+    """``sqrt(1 - overlap / width)``, clamped to [0, 1]."""
+    radicand = 1.0 - overlap / width
+    return float(np.sqrt(min(max(radicand, 0.0), 1.0)))
 
 
 def dist_d(a_hat2, a2) -> float:
@@ -75,13 +87,7 @@ def dist_d(a_hat2, a2) -> float:
     DimensionMismatch
         Row or column counts differ.
     """
-    x = _as_basis(a_hat2, "a_hat2")
-    y = _as_basis(a2, "a2")
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"bases live in different spaces: p={x.shape[0]} vs p={y.shape[0]}"
-        )
-    empty = _empty_case(x.shape[1], y.shape[1])
+    x, y, empty = _pair(a_hat2, a2, "a2")
     if empty is not None:
         return empty
     if x.shape[1] != y.shape[1]:
@@ -89,9 +95,7 @@ def dist_d(a_hat2, a2) -> float:
     _check_orthonormal(x, "a_hat2")
     _check_orthonormal(y, "a2")
     # tr(X X' Y Y') = ||X'Y||_F^2
-    overlap = np.sum((x.T @ y) ** 2)
-    radicand = 1.0 - overlap / x.shape[1]
-    return float(np.sqrt(min(max(radicand, 0.0), 1.0)))
+    return _distance(np.sum((x.T @ y) ** 2), x.shape[1])
 
 
 def dist_d1(a_hat2, b2) -> float:
@@ -119,13 +123,7 @@ def dist_d1(a_hat2, b2) -> float:
     ------
     NotOrthonormal, SingularBasis, DimensionMismatch
     """
-    x = _as_basis(a_hat2, "a_hat2")
-    b = _as_basis(b2, "b2")
-    if x.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"bases live in different spaces: p={x.shape[0]} vs p={b.shape[0]}"
-        )
-    empty = _empty_case(x.shape[1], b.shape[1])
+    x, b, empty = _pair(a_hat2, b2, "b2")
     if empty is not None:
         return empty
     _check_orthonormal(x, "a_hat2")
@@ -137,9 +135,7 @@ def dist_d1(a_hat2, b2) -> float:
     # Orthonormalize b2; its projector is q q' for the reduced QR factor q,
     # so tr(X X' P_b) = ||X'q||_F^2.
     q = np.linalg.qr(b)[0]
-    overlap = np.sum((x.T @ q) ** 2)
-    radicand = 1.0 - overlap / max(x.shape[1], b.shape[1])
-    return float(np.sqrt(min(max(radicand, 0.0), 1.0)))
+    return _distance(np.sum((x.T @ q) ** 2), max(x.shape[1], b.shape[1]))
 
 
 def true_b2(mixing, r: int) -> np.ndarray:

@@ -157,6 +157,17 @@ def test_analyze_panel_too_short(tmp_path, capsys):
     assert "too short for j0=5" in capsys.readouterr().err
 
 
+def test_analyze_unitroot_panel_too_short(tmp_path, capsys):
+    rows = np.random.default_rng(0).standard_normal((15, 2)).cumsum(axis=0)
+    small = tmp_path / "small.csv"
+    np.savetxt(small, rows, delimiter=",")
+    assert main(["analyze", "--input", str(small), "--methods", "ratio,unitroot"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "15 rows is too short for unitroot (need n >= 20)" in err
+    assert not (tmp_path / "small_report.json").exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -282,6 +293,36 @@ def test_simulate_plan_file_rejects_bad_flags(tmp_path, capsys, extra, message):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid plan:")
     assert message in err
+    assert not out.exists()
+
+
+FRACTIONAL_SCENARIO = {
+    "name": "frac",
+    "p": 3,
+    "r": 1,
+    "stationary_law": {"kind": "uniform", "low": -0.8, "high": 0.8},
+    "nonstationary_blocks": [{"count": 2, "d": 1.4}],
+}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"scenarios": [FRACTIONAL_SCENARIO], "estimators": ["fractional_ratio"],
+          "fractional_delta": 0.7}, "delta must lie in [0, 1/2)"),
+        ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+    ],
+    ids=["fractional_delta", "reps"],
+)
+def test_simulate_rejects_bad_plan_file_before_running(tmp_path, capsys, fields, message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(dict(small_plan_dict(), **fields)))
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--plan", str(plan_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid plan:")
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

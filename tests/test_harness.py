@@ -24,7 +24,21 @@ from eigencoint.harness import (
     preset_template,
     run_plan,
 )
-from eigencoint.ranksel import fit, rank_ratio, split
+from eigencoint.baselines import (
+    johansen_trace,
+    sequential_unit_root,
+    trace_critical_table,
+    unit_root_critical_table,
+)
+from eigencoint.ranksel import (
+    PenaltySpec,
+    fit,
+    penalty,
+    rank_ic,
+    rank_ratio,
+    rank_ratio_fractional,
+    split,
+)
 from eigencoint.simgen import ScenarioSpec, gen_panel
 from eigencoint.subspace import dist_d1
 
@@ -115,6 +129,18 @@ def test_template_order_properties():
         ({"scenarios": (replace(small_template(3, 1), name=""),
                         replace(small_template(4, 2), name=""))},
          "names must be distinct"),
+        ({"scenarios": (small_template(d=1.4),), "estimators": ("fractional_ratio",),
+          "fractional_delta": 0.7}, r"delta must lie in \[0, 1/2\)"),
+        ({"scenarios": (small_template(d=1.4),), "estimators": ("fractional_ratio",),
+          "fractional_d_min": 0.5}, "d_min must exceed 1/2"),
+        ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"j0": 2.5}, "j0 must be an integer"),
+        ({"estimators": ("johansen",), "crit_T": 100.5}, "crit_T must be an integer"),
+        ({"estimators": ("johansen",), "crit_reps": 1000.5}, "crit_reps must be an integer"),
+        ({"estimators": ("unitroot",), "ur_reps": 1000.5}, "ur_reps must be an integer"),
+        ({"n_grid": (200.5,)}, "n_grid must be an integer"),
+        ({"reps": "5"}, "reps must be an integer"),
     ],
 )
 def test_plan_validation(overrides, match):
@@ -126,6 +152,12 @@ def test_plan_accepts_each_estimators_shortest_sample():
     # johansen needs n > 2p + 2 (p = 4 here), unitroot n >= 20.
     assert small_plan(estimators=("johansen",), n_grid=(11,)).n_grid == (11,)
     assert small_plan(estimators=("unitroot",), n_grid=(20,)).n_grid == (20,)
+
+
+def test_plan_stores_whole_float_fields_as_integers():
+    plan = small_plan(reps=5.0, master_seed=7.0, n_grid=(200.0,), j0=3.0)
+    assert (plan.reps, plan.master_seed, plan.n_grid, plan.j0) == (5, 7, (200,), 3)
+    assert all(type(v) is int for v in (plan.reps, plan.master_seed, plan.j0, *plan.n_grid))
 
 
 def test_plan_accepts_fractional_estimator_on_fractional_scenario():
@@ -157,28 +189,65 @@ def test_plan_round_trip_and_unknown_field():
 # ---------------------------------------------------------------------------
 # run_plan
 
-def test_single_replicate_equals_direct_pipeline():
-    plan = preset_plan(
-        "example2",
-        reps=1,
-        cells=((6, 2),),
-        n_grid=(1000,),
-        estimators=("ratio",),
-        master_seed=123,
-    )
+def _direct_estimate(plan, scenario, n, est, panel, fitted):
+    """One estimator on one replicate, from the library calls alone."""
+    if est == "johansen":
+        table = trace_critical_table(
+            dims=range(1, scenario.p + 1), levels=(plan.level,),
+            T=plan.crit_T, reps=plan.crit_reps, seed=plan.master_seed,
+        )
+        res = johansen_trace(panel.y, table, plan.level)
+        r_est = res.selected_r
+        a2 = np.linalg.qr(res.directions[:, :r_est])[0] if r_est else res.directions[:, :0]
+        return r_est, a2
+    if est == "ratio":
+        r_est = rank_ratio(fitted.eigen, n)
+    elif est == "unitroot":
+        table = unit_root_critical_table(
+            n=n, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
+        )
+        r_est = sequential_unit_root(fitted.x_hat, plan.level, table)
+    elif est == "fractional_ratio":
+        r_est = rank_ratio_fractional(
+            fitted.eigen, n, scenario.d_min, plan.fractional_delta
+        )
+    else:
+        omega = penalty(PenaltySpec(est[3:]), n, fitted.eigen.values[-1])
+        r_est = rank_ic(fitted.eigen, omega)
+    return r_est, split(fitted, r_est)[1]
+
+
+@pytest.mark.parametrize(
+    "est", ["ratio", "ic_omega1", "ic_omega2", "ic_omega3", "unitroot", "johansen",
+            "fractional_ratio"],
+)
+def test_single_replicate_equals_direct_pipeline(est):
+    if est == "fractional_ratio":
+        scenario = small_template(p=6, r=2, d=1.4)
+        plan = small_plan(
+            scenarios=(scenario,), n_grid=(1000,), estimators=(est,), reps=1,
+            master_seed=123, fractional_delta=0.1,
+        )
+    else:
+        scenario = preset_template("example2", 6, 2)
+        plan = preset_plan(
+            "example2", reps=1, cells=((6, 2),), n_grid=(1000,), estimators=(est,),
+            master_seed=123, crit_T=100, crit_reps=1000, ur_reps=1000,
+        )
     report = run_plan(plan)
     assert len(report.replicates) == 1
     rec = report.replicates[0]
 
     seed = replicate_seed(123, 0, 0)
-    panel = gen_panel(replace(preset_template("example2", 6, 2), n=1000, seed=seed))
+    panel = gen_panel(replace(scenario, n=1000, seed=seed))
     fitted = fit(panel.y, plan.j0)
-    r_est = rank_ratio(fitted.eigen, 1000)
-    dist = dist_d1(split(fitted, r_est)[1], panel.b2)
+    r_est, a2 = _direct_estimate(plan, scenario, 1000, est, panel, fitted)
+    dist = dist_d1(a2, panel.b2)
 
     assert rec.r_est == r_est
     assert rec.dist == dist
-    assert rec.scenario == "p6_r2"
+    assert rec.scenario == scenario.name
+    assert rec.estimator == est
     assert not rec.failed
 
     cell = report.cells[0]
