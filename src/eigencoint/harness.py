@@ -25,9 +25,8 @@ Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 from __future__ import annotations
 
 import json
-import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -52,7 +51,7 @@ from .ranksel import (
     rank_ratio_fractional,
     split,
 )
-from .simgen import ProcessBlock, ScenarioSpec, gen_panel
+from .simgen import ProcessBlock, ScenarioSpec, _from_dict, _integer, gen_panel
 from .subspace import dist_d1
 
 ESTIMATORS = (
@@ -72,13 +71,6 @@ FAILURE_BUDGET = 0.05
 #: Innovation floats (``reps x p x n``) one chunk of replicates may hold:
 #: the replicates of a chunk are generated together, in one recursion.
 _CHUNK_FLOATS = 2**20
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a ValueError unless it is a whole number."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,8 @@ class ExperimentPlan:
 
     The sample sizes and the integer fields must be whole numbers; a float
     such as ``2.0`` is stored as ``2``, and ``2.5`` raises ``ValueError``.
+    A scenario may set neither ``n`` nor a nonzero ``seed``: ``n_grid`` and
+    ``master_seed`` set them.
     """
 
     scenarios: tuple
@@ -145,7 +139,7 @@ class ExperimentPlan:
         )
         object.__setattr__(self, "scenarios", scenarios)
         object.__setattr__(self, "n_grid", tuple(_integer("n_grid", n) for n in self.n_grid))
-        for field in ("reps", "master_seed", "j0", "crit_T", "crit_reps", "ur_reps"):
+        for field in ("reps", "parallelism", "master_seed", "j0", "crit_T", "crit_reps", "ur_reps"):
             object.__setattr__(self, field, _integer(field, getattr(self, field)))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not scenarios or not self.n_grid or not self.estimators:
@@ -161,10 +155,9 @@ class ExperimentPlan:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         for s in scenarios:
-            if s.n is not None:
-                raise ValueError(
-                    f"scenario {s.name!r} sets n; a plan's n_grid sets it"
-                )
+            for key, owner in (("n", "n_grid"), ("seed", "master_seed")):
+                if getattr(s, key) not in (None, 0):
+                    raise ValueError(f"scenario {s.name!r} sets {key}; a plan's {owner} sets it")
             for n in self.n_grid:
                 replace(s, n=n)
         names = [s.name for s in scenarios]
@@ -202,29 +195,18 @@ class ExperimentPlan:
         return [(ci, scenario, n) for ci, (scenario, n) in enumerate(grid)]
 
     def to_dict(self) -> dict:
-        return {
-            "scenarios": [s.to_dict() for s in self.scenarios],
-            "n_grid": list(self.n_grid),
-            "estimators": list(self.estimators),
-            "reps": int(self.reps),
-            "parallelism": int(self.parallelism),
-            "master_seed": int(self.master_seed),
-            "level": float(self.level),
-            "j0": int(self.j0),
-            "crit_T": int(self.crit_T),
-            "crit_reps": int(self.crit_reps),
-            "ur_reps": int(self.ur_reps),
-            "fractional_d_min": self.fractional_d_min,
-            "fractional_delta": float(self.fractional_delta),
-        }
+        """Every field, in declaration order; tuples become lists."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            scenarios=[s.to_dict() for s in self.scenarios],
+            n_grid=list(self.n_grid),
+            estimators=list(self.estimators),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentPlan":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown plan fields: {sorted(unknown)}")
-        return cls(**data)
+        return _from_dict(cls, data, "plan")
 
 
 @dataclass(frozen=True)

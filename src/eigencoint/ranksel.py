@@ -261,10 +261,11 @@ def rank_ratio_fractional(
     threshold = float(n) ** exponent * values[-1]
     if exponent <= 0.0 and threshold < values[-1]:
         # Shrinking threshold: nothing below lambda_p can exist, so the rule
-        # can only return 1.  Not an error, but worth a diagnostic.
+        # can only return 1.  Not an error, but worth a diagnostic; the
+        # message is constant so that the default filter shows it once.
         warnings.warn(
             "fractional ratio threshold n**(d_min + delta - 1) * lambda_p "
-            f"= {threshold:.3e} falls below lambda_p; the rule degenerates",
+            "falls below lambda_p; the rule degenerates",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -37,6 +37,8 @@ part.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -237,6 +239,29 @@ def _integrate(x: np.ndarray, d) -> np.ndarray:
 _LAW_KINDS = ("uniform", "grid", "none")
 
 
+def _integer(name: str, value, positive: bool = False) -> int:
+    """``value`` as an int: ``2.0`` gives ``2``; ``2.5``, ``"2"``, ``True`` and,
+    with ``positive``, values below 1 raise ValueError."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()) and (value >= 1 or not positive):
+        return int(value)
+    raise ValueError(f"{name} must be {'a positive' if positive else 'an'} integer, got {value!r}")
+
+
+def _from_dict(cls, data: dict, what: str):
+    """``cls(**data)``; a ValueError names the keys of ``data`` that are not
+    fields of ``cls`` (``unknown plan fields: [...]``)."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return cls(**data)
+
+
+def _finite(value) -> bool:
+    """True for a finite real number; False for a bool, a string, nan or inf."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _validate_law(law, count: int, what: str, allow_none: bool) -> None:
     if law is None or (isinstance(law, dict) and law.get("kind") == "none"):
         if not allow_none:
@@ -246,14 +271,19 @@ def _validate_law(law, count: int, what: str, allow_none: bool) -> None:
         raise ValueError(f"{what} must be a law dict with a 'kind' key, got {law!r}")
     kind = law["kind"]
     if kind == "uniform":
-        if not ("low" in law and "high" in law and law["low"] < law["high"]):
-            raise ValueError(f"{what}: uniform law needs low < high, got {law!r}")
+        low, high = law.get("low"), law.get("high")
+        if not (_finite(low) and _finite(high) and low < high):
+            raise ValueError(
+                f"{what}: uniform law needs finite numbers low < high, got {law!r}"
+            )
     elif kind == "grid":
         values = law.get("values")
         if values is None or len(values) != count:
             raise ValueError(
                 f"{what}: grid law needs exactly {count} values, got {law!r}"
             )
+        if not all(map(_finite, values)):
+            raise ValueError(f"{what}: grid law values must be finite numbers, got {law!r}")
     else:
         raise ValueError(f"{what}: unknown law kind {kind!r} (expected {_LAW_KINDS})")
 
@@ -293,8 +323,9 @@ class ProcessBlock:
     ma_law: Optional[dict] = None
 
     def __post_init__(self):
-        if int(self.count) != self.count or self.count < 1:
-            raise ValueError(f"block count must be a positive integer, got {self.count}")
+        object.__setattr__(self, "count", _integer("block count", self.count, positive=True))
+        if not _finite(self.d):
+            raise ValueError(f"block order d must be a finite number, got {self.d!r}")
         d = float(self.d)
         if _is_integer_order(d):
             if d < 1:
@@ -307,21 +338,11 @@ class ProcessBlock:
         _validate_law(self.ma_law, self.count, "block ma_law", allow_none=True)
 
     def to_dict(self) -> dict:
-        return {
-            "count": int(self.count),
-            "d": float(self.d),
-            "ar_law": self.ar_law,
-            "ma_law": self.ma_law,
-        }
+        return {"count": self.count, "d": self.d, "ar_law": self.ar_law, "ma_law": self.ma_law}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessBlock":
-        return cls(
-            count=data["count"],
-            d=data["d"],
-            ar_law=data.get("ar_law"),
-            ma_law=data.get("ma_law"),
-        )
+        return _from_dict(cls, data, "block")
 
 
 DEFAULT_MIXING_LAW = {"kind": "uniform", "low": -3.0, "high": 3.0}
@@ -352,6 +373,10 @@ class ScenarioSpec:
         64-bit stream seed; with ``n``, fully determines the panel.
     name : str
         Label of the scenario in experiment reports.
+
+    ``p``, ``r``, ``n`` and ``seed``, like a block's ``count``, must be whole
+    numbers: ``4.0`` is stored as ``4``, and ``4.5`` raises ``ValueError``.
+    :meth:`from_dict` rejects keys that are not fields, at every level.
     """
 
     p: int
@@ -364,6 +389,8 @@ class ScenarioSpec:
     name: str = ""
 
     def __post_init__(self):
+        for name in ("p", "r", "seed") if self.n is None else ("p", "r", "n", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.p < 1 or not (0 <= self.r <= self.p):
             raise ValueError(f"need p >= 1 and 0 <= r <= p, got p={self.p} r={self.r}")
         if self.n is not None and self.n < 10:
@@ -380,7 +407,7 @@ class ScenarioSpec:
             )
         if self.r > 0:
             _validate_law(self.stationary_law, self.r, "stationary_law", allow_none=False)
-        kind = self.mixing_law.get("kind")
+        kind = self.mixing_law.get("kind") if isinstance(self.mixing_law, dict) else None
         if kind == "uniform":
             _validate_law(self.mixing_law, 0, "mixing_law", allow_none=False)
         elif kind not in ("orthogonal", "identity"):
@@ -401,28 +428,19 @@ class ScenarioSpec:
         """The JSON form; ``n`` and ``seed`` appear only when ``n`` is set."""
         data = {
             "name": self.name,
-            "p": int(self.p),
-            "r": int(self.r),
+            "p": self.p,
+            "r": self.r,
             "stationary_law": self.stationary_law,
             "nonstationary_blocks": [b.to_dict() for b in self.nonstationary_blocks],
             "mixing_law": self.mixing_law,
         }
         if self.n is not None:
-            data.update(n=int(self.n), seed=int(self.seed))
+            data.update(n=self.n, seed=self.seed)
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        return cls(
-            p=data["p"],
-            r=data["r"],
-            n=data.get("n"),
-            stationary_law=data.get("stationary_law"),
-            nonstationary_blocks=tuple(data.get("nonstationary_blocks", ())),
-            mixing_law=data.get("mixing_law", dict(DEFAULT_MIXING_LAW)),
-            seed=data.get("seed", 0),
-            name=data.get("name", ""),
-        )
+        return _from_dict(cls, data, "scenario")
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,21 @@ FRACTIONAL_SCENARIO = {
         ({"scenarios": [FRACTIONAL_SCENARIO], "estimators": ["fractional_ratio"],
           "fractional_delta": 0.7}, "delta must lie in [0, 1/2)"),
         ({"reps": 2.5}, "reps must be an integer, got 2.5"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, mixing={"kind": "identity"})]},
+         "unknown scenario fields: ['mixing']"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, p=3.5, r=1.5)]},
+         "p must be an integer, got 3.5"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, stationary_law={
+            "kind": "uniform", "low": "-0.8", "high": "0.8"})]},
+         "uniform law needs finite numbers low < high"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, mixing_law={
+            "kind": "uniform", "low": float("-inf"), "high": 3.0})]},
+         "uniform law needs finite numbers low < high"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, seed=7)]},
+         "sets seed; a plan's master_seed sets it"),
     ],
-    ids=["fractional_delta", "reps"],
+    ids=["fractional_delta", "reps", "typo", "fractional_p", "string_law", "infinite_law",
+         "seed"],
 )
 def test_simulate_rejects_bad_plan_file_before_running(tmp_path, capsys, fields, message):
     plan_path = tmp_path / "plan.json"
@@ -324,6 +337,28 @@ def test_simulate_rejects_bad_plan_file_before_running(tmp_path, capsys, fields,
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_simulate_degenerate_fractional_threshold_warns_once(tmp_path):
+    # d_min + delta < 1 makes the threshold degenerate on every replicate;
+    # the default warning filter should still show the warning only once.
+    import eigencoint
+
+    scenario = dict(FRACTIONAL_SCENARIO, nonstationary_blocks=[{"count": 2, "d": 0.8}])
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(dict(
+        small_plan_dict(), scenarios=[scenario], n_grid=[300, 500], reps=40,
+        estimators=["fractional_ratio"], fractional_delta=0.1,
+    )))
+    src = str(Path(eigencoint.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from eigencoint.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "simulate", "--plan", str(plan_path), "--out", str(tmp_path / "r.csv")],
+        env={**env, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert out.stderr.count("RuntimeWarning") == 1
 
 
 def test_simulate_replicates_out(tmp_path):

@@ -141,6 +141,15 @@ def test_template_order_properties():
         ({"estimators": ("unitroot",), "ur_reps": 1000.5}, "ur_reps must be an integer"),
         ({"n_grid": (200.5,)}, "n_grid must be an integer"),
         ({"reps": "5"}, "reps must be an integer"),
+        ({"scenarios": (dict(small_template().to_dict(),
+                             nonstationary_blocks=[{"count": 3, "d": 1, "ma_laws": None}]),)},
+         r"unknown block fields: \['ma_laws'\]"),
+        ({"scenarios": (dict(small_template().to_dict(), mixing={"kind": "identity"}),)},
+         r"unknown scenario fields: \['mixing'\]"),
+        ({"scenarios": (dict(small_template().to_dict(), p=4.5, r=1.5),)},
+         "p must be an integer, got 4.5"),
+        ({"scenarios": (replace(small_template(), seed=7),)},
+         "sets seed; a plan's master_seed sets it"),
     ],
 )
 def test_plan_validation(overrides, match):
@@ -640,3 +649,13 @@ def test_readme_plan_file_round_trips():
     assert written["scenarios"] == data["scenarios"]
     assert [list(s) for s in written["scenarios"]] == [list(s) for s in data["scenarios"]]
     assert {key: written[key] for key in data} == data
+
+
+def test_whole_float_plan_fields_run_as_integers():
+    data = dict(json.loads(README_PLAN), n_grid=[100], reps=4)
+    floats = json.loads(json.dumps(data))
+    floats["scenarios"][0]["p"] = 4.0
+    floats["scenarios"][0]["nonstationary_blocks"][0]["count"] = 3.0
+    whole, fractional = (run_plan(load_plan(d)) for d in (data, floats))
+    assert emit_report(fractional) == emit_report(whole)
+    assert emit_replicates(fractional) == emit_replicates(whole)

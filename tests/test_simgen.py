@@ -271,6 +271,8 @@ def test_valid_orders_produce_finite_series(d):
         ({"count": 1, "d": 0.4}, r"\(1/2, 2\]"),
         ({"count": 1, "d": 0.5}, r"\(1/2, 2\]"),
         ({"count": 1, "d": 2.5}, r"\(1/2, 2\]"),
+        ({"count": True, "d": 1}, "positive integer"),
+        ({"count": 1, "d": "1"}, "finite number"),
     ],
 )
 def test_process_block_rejects_bad_fields(kwargs, match):
@@ -292,6 +294,13 @@ def test_process_block_accepts_valid_orders(d):
         ({"kind": "grid", "values": [0.1]}, "exactly 2 values"),
         ({"kind": "cauchy"}, "unknown law kind"),
         ("uniform", "law dict"),
+        ({"kind": "uniform", "low": "-0.5", "high": "0.5"}, "finite numbers low < high"),
+        ({"kind": "uniform", "low": False, "high": 0.5}, "finite numbers low < high"),
+        ({"kind": "uniform", "low": float("-inf"), "high": 0.5}, "finite numbers low < high"),
+        ({"kind": "uniform", "low": float("nan"), "high": 0.5}, "finite numbers low < high"),
+        ({"kind": "grid", "values": [0.1, "0.2"]}, "finite numbers"),
+        ({"kind": "grid", "values": [0.1, float("inf")]}, "finite numbers"),
+        ({"kind": "grid", "values": [0.1, True]}, "finite numbers"),
     ],
 )
 def test_process_block_rejects_bad_laws(law, match):
@@ -311,6 +320,11 @@ def test_process_block_round_trip():
         ({"p": 3, "r": -1}, "0 <= r <= p"),
         ({"p": 3, "r": 4}, "0 <= r <= p"),
         ({"p": 3, "r": 3, "n": 9, "stationary_law": UNIFORM_STATIONARY}, "n >= 10"),
+        ({"p": 3.5, "r": 3, "stationary_law": UNIFORM_STATIONARY}, "p must be an integer"),
+        ({"p": 3, "r": 3, "n": 50.5, "stationary_law": UNIFORM_STATIONARY},
+         "n must be an integer"),
+        ({"p": 3, "r": 3, "seed": "1", "stationary_law": UNIFORM_STATIONARY},
+         "seed must be an integer"),
     ],
 )
 def test_scenario_spec_rejects_bad_dimensions(kwargs, match):
@@ -340,6 +354,10 @@ def test_scenario_spec_requires_stationary_law_when_r_positive():
     [
         {"kind": "hadamard"},
         {"kind": "uniform", "low": 2.0, "high": 1.0},
+        {"kind": "uniform", "low": float("-inf"), "high": 3.0},
+        {"kind": "uniform", "low": "-3", "high": "3"},
+        {"kind": "uniform", "low": -3.0, "high": float("nan")},
+        None,
     ],
 )
 def test_scenario_spec_rejects_bad_mixing_law(law):
@@ -369,6 +387,31 @@ def test_scenario_spec_json_round_trip():
     again = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
     assert again.nonstationary_blocks[0] == ProcessBlock(**ARIMA121_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        ({"p": 1, "r": 1, "stationary_law": UNIFORM_STATIONARY, "mixing": {"kind": "identity"}},
+         r"unknown scenario fields: \['mixing'\]"),
+        ({"p": 2, "r": 1, "stationary_law": UNIFORM_STATIONARY,
+          "nonstationary_blocks": [{"count": 1, "d": 1, "ma_laws": None}]},
+         r"unknown block fields: \['ma_laws'\]"),
+    ],
+)
+def test_scenario_spec_from_dict_rejects_unknown_keys(data, match):
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec.from_dict(data)
+
+
+def test_scenario_spec_stores_whole_float_fields_as_integers():
+    data = dict(example2_spec().to_dict(), p=6.0, r=2.0, n=500.0, seed=11.0,
+                nonstationary_blocks=[dict(ARIMA121_BLOCK, count=4.0)])
+    spec = ScenarioSpec.from_dict(data)
+    assert spec == example2_spec()
+    assert all(type(v) is int for v in (spec.p, spec.r, spec.n, spec.seed))
+    assert type(spec.nonstationary_blocks[0].count) is int
+    assert spec.to_dict() == example2_spec().to_dict()
 
 
 def test_scenario_spec_dict_defaults():
