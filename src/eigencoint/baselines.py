@@ -64,6 +64,14 @@ _CHUNK_FLOATS = 2**15
 #: Shortest series :func:`unit_root_stat` accepts.
 _UNIT_ROOT_MIN_N = 20
 
+#: Default test size of both baselines and of their critical-value tables.
+DEFAULT_LEVEL = 0.05
+#: Default inner length and repetitions of the trace critical-value table.
+DEFAULT_TRACE_T = 1000
+DEFAULT_TRACE_REPS = 2000
+#: Default repetitions of the unit-root critical-value table.
+DEFAULT_UNIT_ROOT_REPS = 4000
+
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based Philox stream for ``(seed, key...)``.
@@ -197,7 +205,8 @@ def _check_table_args(statistic: str, dims, levels, T: int, reps: int, seed: int
 
 
 def trace_critical_table(
-    dims, levels=(0.05,), T: int = 1000, reps: int = 2000, seed: int = 0
+    dims, levels=(DEFAULT_LEVEL,), T: int = DEFAULT_TRACE_T, reps: int = DEFAULT_TRACE_REPS,
+    seed: int = 0,
 ) -> CriticalTable:
     """Simulate trace critical values for several dimensions at once.
 
@@ -297,7 +306,7 @@ def _trace_min_n(p: int) -> int:
     return 2 * p + 3
 
 
-def johansen_trace(series, crit: CriticalTable, level: float = 0.05) -> TraceResult:
+def johansen_trace(series, crit: CriticalTable, level: float = DEFAULT_LEVEL) -> TraceResult:
     """Run the trace test on a panel with simulated critical values.
 
     Parameters
@@ -446,7 +455,7 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
 
 
 def unit_root_critical_table(
-    n: int, levels=(0.05,), reps: int = 4000, seed: int = 0
+    n: int, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
 ) -> CriticalTable:
     """Simulate the null distribution of :func:`unit_root_stat`.
 

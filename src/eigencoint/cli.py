@@ -8,7 +8,7 @@ Four commands::
                         [--cells 6,2;10,4] [--n 300,1000] [--estimators ratio,...]
                         [--seed 0] [--out report.csv] [--format csv|json]
                         [--replicates-out reps.csv]
-    eigencoint crit     --dim 1..3 [--level 0.05] [--T 1000] [--reps 6000]
+    eigencoint crit     --dim 1..3 [--level 0.05] [--T 1000] [--reps 2000]
                         [--seed 0] --out cache.json
     eigencoint version
 
@@ -18,9 +18,10 @@ given replace one plan field: ``--reps``, ``--seed``, ``--n`` and
 file it exits 2).  ``--parallelism N`` is ignored (every replicate runs in
 this process); it is kept so existing command lines and plans still load.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.  All
-numeric work is delegated to the library modules; this layer only parses
-arguments and files and formats output.
+Exit codes: 0 success, 2 usage or input error (also an output file that
+cannot be written), 3 numerical failure.  All numeric work and every
+default it uses belong to the library modules; this layer only parses
+arguments and files, formats output and writes it (:func:`_write`).
 """
 
 from __future__ import annotations
@@ -29,18 +30,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .baselines import (
     _UNIT_ROOT_MIN_N,
+    DEFAULT_LEVEL,
+    DEFAULT_TRACE_REPS,
+    DEFAULT_TRACE_T,
     CriticalTable,
     sequential_unit_root,
     trace_critical_table,
     unit_root_critical_table,
 )
+from .covstack import DEFAULT_J0
 from .errors import EigencointError
 from .harness import emit_replicates, emit_report, load_plan, run_plan
 from .ranksel import PenaltySpec, fit, penalty, rank_ic, rank_ratio, split
@@ -48,34 +52,17 @@ from .ranksel import PenaltySpec, fit, penalty, rank_ic, rank_ratio, split
 _ANALYZE_METHODS = ("ratio", "ic", "unitroot")
 
 
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    """Validated arguments of the ``analyze`` command."""
-
-    input: str
-    j0: int = 5
-    methods: tuple = ("ratio", "ic")
-    penalty: PenaltySpec = PenaltySpec("omega2")
-    level: float = 0.05
-    seed: int = 0
-    out: str = ""
-
-    def __post_init__(self):
-        if self.j0 < 0:
-            raise ValueError(f"need j0 >= 0, got {self.j0}")
-        if not 0.0 < self.level < 0.5:
-            raise ValueError(f"need level in (0, 0.5), got {self.level}")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
-        if not self.methods:
-            raise ValueError("need at least one method")
-        for m in self.methods:
-            if m not in _ANALYZE_METHODS:
-                raise ValueError(f"unknown method {m!r}; expected {_ANALYZE_METHODS}")
-
-
 class _InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_panel_csv(path: str) -> np.ndarray:
@@ -135,69 +122,74 @@ def _read_panel_csv(path: str) -> np.ndarray:
     return panel
 
 
-def _derived_paths(config: AnalyzeConfig):
-    out = config.out
-    if not out:
-        stem = os.path.splitext(config.input)[0]
-        out = stem + "_report.json"
-    xhat = os.path.splitext(out)[0] + "_xhat.csv"
-    return out, xhat
+def _parse_penalty(text: str) -> PenaltySpec:
+    if text.startswith("custom="):
+        try:
+            value = float(text.split("=", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad custom penalty {text!r}") from None
+        return PenaltySpec("custom", value)
+    return PenaltySpec(text)
 
 
-def cmd_analyze(config: AnalyzeConfig) -> int:
-    y = _read_panel_csv(config.input)
+def cmd_analyze(args) -> int:
+    try:
+        spec = _parse_penalty(args.penalty)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    if args.j0 < 0:
+        raise _InputError(f"need j0 >= 0, got {args.j0}")
+    if not 0.0 < args.level < 0.5:
+        raise _InputError(f"need level in (0, 0.5), got {args.level}")
+    if args.seed < 0:
+        raise _InputError(f"need seed >= 0, got {args.seed}")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise _InputError("need at least one method")
+    for m in methods:
+        if m not in _ANALYZE_METHODS:
+            raise _InputError(f"unknown method {m!r}; expected {_ANALYZE_METHODS}")
+    y = _read_panel_csv(args.input)
     n, p = y.shape
-    if n <= config.j0 + 1:
+    if n <= args.j0 + 1:
         raise _InputError(
-            f"{config.input}: {n} rows is too short for j0={config.j0} "
-            f"(need n > j0 + 1)"
+            f"{args.input}: {n} rows is too short for j0={args.j0} (need n > j0 + 1)"
         )
-    if "unitroot" in config.methods and n < _UNIT_ROOT_MIN_N:
+    if "unitroot" in methods and n < _UNIT_ROOT_MIN_N:
         raise _InputError(
-            f"{config.input}: {n} rows is too short for unitroot "
-            f"(need n >= {_UNIT_ROOT_MIN_N})"
+            f"{args.input}: {n} rows is too short for unitroot (need n >= {_UNIT_ROOT_MIN_N})"
         )
-    fitted = fit(y, config.j0)
+    fitted = fit(y, args.j0)
     report = {
-        "input": config.input,
+        "input": args.input,
         "n": n,
         "p": p,
-        "j0": config.j0,
+        "j0": args.j0,
         "eigenvalues": [float(v) for v in fitted.eigen.values],
     }
     ranks = {}
-    if "ratio" in config.methods:
+    if "ratio" in methods:
         ranks["ratio"] = rank_ratio(fitted.eigen, n)
-    if "ic" in config.methods:
-        omega = penalty(config.penalty, n, fitted.eigen.values[-1])
+    if "ic" in methods:
+        omega = penalty(spec, n, fitted.eigen.values[-1])
         ranks["ic"] = rank_ic(fitted.eigen, omega)
-        report["penalty"] = {
-            "variant": config.penalty.variant,
-            "omega": float(omega),
-        }
-    if "unitroot" in config.methods:
-        crit = unit_root_critical_table(
-            n=n, levels=(config.level,), seed=config.seed
-        )
-        ranks["unitroot"] = sequential_unit_root(fitted.x_hat, config.level, crit)
-        report["level"] = config.level
+        report["penalty"] = {"variant": spec.variant, "omega": float(omega)}
+    if "unitroot" in methods:
+        crit = unit_root_critical_table(n=n, levels=(args.level,), seed=args.seed)
+        ranks["unitroot"] = sequential_unit_root(fitted.x_hat, args.level, crit)
+        report["level"] = args.level
     report["ranks"] = ranks
     # A2 uses the rank of the first requested method.
-    r_sel = ranks[config.methods[0]]
-    a2 = split(fitted, r_sel)[1]
+    r_sel = ranks[methods[0]]
     report["selected_r"] = r_sel
-    report["a2"] = [[float(v) for v in row] for row in a2]
+    report["a2"] = [[float(v) for v in row] for row in split(fitted, r_sel)[1]]
 
-    out, xhat_path = _derived_paths(config)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    out = args.out or os.path.splitext(args.input)[0] + "_report.json"
+    xhat_path = os.path.splitext(out)[0] + "_xhat.csv"
+    _write(out, json.dumps(report, indent=2) + "\n")
     header = ",".join(f"x{i + 1}" for i in range(p))
-    body = "\n".join(
-        ",".join(repr(float(v)) for v in row) for row in fitted.x_hat
-    )
-    with open(xhat_path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n" + body + "\n")
+    body = "\n".join(",".join(repr(float(v)) for v in row) for row in fitted.x_hat)
+    _write(xhat_path, header + "\n" + body + "\n")
     print(f"wrote {out} and {xhat_path}")
     return 0
 
@@ -244,17 +236,18 @@ def cmd_simulate(args) -> int:
         plan = load_plan(data)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         raise _InputError(f"invalid plan: {exc}") from exc
+    out = args.out or f"simulation_report.{args.format}"
+    written = [path for path in (out, args.replicates_out) if path]
+    for path in written:
+        # The plan may run for minutes; refuse an unwritable output first.
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise _InputError(f"cannot write {path}: not a file in an existing directory")
 
     report = run_plan(plan)
     _print_tables(report)
-    out = args.out or f"simulation_report.{args.format}"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(emit_report(report, format=args.format))
-    written = [out]
+    _write(out, emit_report(report, format=args.format))
     if args.replicates_out:
-        with open(args.replicates_out, "w", encoding="utf-8") as fh:
-            fh.write(emit_replicates(report))
-        written.append(args.replicates_out)
+        _write(args.replicates_out, emit_replicates(report))
     print("wrote " + " and ".join(written))
     return 0
 
@@ -285,10 +278,9 @@ def cmd_crit(args) -> int:
             with open(args.out, encoding="utf-8") as fh:
                 existing = CriticalTable.from_dict(json.load(fh))
             table = existing.merged(table)
-        except (ValueError, KeyError, TypeError, IndexError, json.JSONDecodeError):
-            pass  # incompatible or corrupt cache: replace it
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(table.to_dict(), fh, indent=2, sort_keys=True)
+        except (OSError, ValueError, KeyError, TypeError, IndexError):
+            pass  # unreadable, incompatible or corrupt cache: replace it
+    _write(args.out, json.dumps(table.to_dict(), indent=2, sort_keys=True))
     print(f"wrote {args.out} (dims {list(table.dims)}, levels {list(table.levels)})")
     return 0
 
@@ -304,15 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="estimate cointegration rank and space "
                         "from a CSV panel (rows = time points)")
     pa.add_argument("--input", required=True, help="panel CSV path")
-    pa.add_argument("--j0", type=int, default=5, help="max lag (default 5)")
+    pa.add_argument("--j0", type=int, default=DEFAULT_J0, help="max lag (default %(default)s)")
     pa.add_argument("--methods", default="ratio,ic",
-                    help="comma list from ratio,ic,unitroot (default ratio,ic)")
-    pa.add_argument("--penalty", default="omega2",
-                    help="omega1|omega2|omega3|custom=VALUE (default omega2)")
-    pa.add_argument("--level", type=float, default=0.05,
-                    help="unit-root test size (default 0.05)")
-    pa.add_argument("--seed", type=int, default=0,
-                    help="seed for the unit-root critical-value simulation")
+                    help="comma list from ratio,ic,unitroot (default %(default)s)")
+    pa.add_argument("--penalty", default=PenaltySpec().variant,
+                    help="omega1|omega2|omega3|custom=VALUE with VALUE finite and "
+                    "positive (default %(default)s)")
+    pa.add_argument("--level", type=float, default=DEFAULT_LEVEL,
+                    help="unit-root test size, in (0, 0.5) (default %(default)s)")
+    pa.add_argument("--seed", type=int, default=0, help="seed for the unit-root "
+                    "critical-value simulation (default %(default)s)")
     pa.add_argument("--out", default="",
                     help="report JSON path (default <input>_report.json; the "
                     "transformed panel goes to <out>_xhat.csv)")
@@ -324,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--cells", help="preset cell subset, e.g. '6,2;10,4' (presets only)")
     ps.add_argument("--n", help="sample sizes, e.g. '300,1000'")
     ps.add_argument("--estimators", help="comma list, e.g. 'ratio,ic_omega2'")
-    ps.add_argument("--seed", type=int, help="master seed (default 0)")
+    ps.add_argument("--seed", type=int, help="master seed (default: the plan's master_seed)")
     ps.add_argument("--parallelism", type=int, help="ignored; kept so existing "
                     "command lines and plans still load")
     ps.add_argument("--out", default="", help="report path (default "
@@ -336,10 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("crit", help="simulate and cache trace critical values")
     pc.add_argument("--dim", required=True,
                     help="dimensions: '3', '1,2,3', or '1..3'")
-    pc.add_argument("--level", type=float, default=0.05)
-    pc.add_argument("--T", type=int, default=1000, help="inner sample length")
-    pc.add_argument("--reps", type=int, default=6000)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--level", type=float, default=DEFAULT_LEVEL,
+                    help="test size (default %(default)s)")
+    pc.add_argument("--T", type=int, default=DEFAULT_TRACE_T,
+                    help="inner sample length (default %(default)s)")
+    pc.add_argument("--reps", type=int, default=DEFAULT_TRACE_REPS,
+                    help="repetitions per dimension (default %(default)s)")
+    pc.add_argument("--seed", type=int, default=0, help="seed (default %(default)s)")
     pc.add_argument("--out", required=True, help="cache JSON path")
 
     sub.add_parser("version", help="print version and exit")
@@ -347,27 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "version":
             print(__version__)
             return 0
         if args.command == "analyze":
-            try:
-                spec = _parse_penalty(args.penalty)
-                config = AnalyzeConfig(
-                    input=args.input,
-                    j0=args.j0,
-                    methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-                    penalty=spec,
-                    level=args.level,
-                    seed=args.seed,
-                    out=args.out,
-                )
-            except ValueError as exc:
-                raise _InputError(str(exc)) from exc
-            return cmd_analyze(config)
+            return cmd_analyze(args)
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_crit(args)
@@ -377,16 +359,6 @@ def main(argv=None) -> int:
     except EigencointError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-def _parse_penalty(text: str) -> PenaltySpec:
-    if text.startswith("custom="):
-        try:
-            value = float(text.split("=", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad custom penalty {text!r}") from None
-        return PenaltySpec("custom", value)
-    return PenaltySpec(text)
 
 
 if __name__ == "__main__":

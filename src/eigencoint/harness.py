@@ -33,6 +33,10 @@ import numpy as np
 
 from .baselines import (
     _UNIT_ROOT_MIN_N,
+    DEFAULT_LEVEL,
+    DEFAULT_TRACE_REPS,
+    DEFAULT_TRACE_T,
+    DEFAULT_UNIT_ROOT_REPS,
     _check_table_args,
     _trace_min_n,
     johansen_trace,
@@ -40,6 +44,7 @@ from .baselines import (
     unit_root_critical_table,
     sequential_unit_root,
 )
+from .covstack import DEFAULT_J0
 from .errors import EigencointError, ExperimentFailure
 from .ranksel import (
     PenaltySpec,
@@ -124,11 +129,11 @@ class ExperimentPlan:
     reps: int = 200
     parallelism: int = 1
     master_seed: int = 0
-    level: float = 0.05
-    j0: int = 5
-    crit_T: int = 1000
-    crit_reps: int = 2000
-    ur_reps: int = 4000
+    level: float = DEFAULT_LEVEL
+    j0: int = DEFAULT_J0
+    crit_T: int = DEFAULT_TRACE_T
+    crit_reps: int = DEFAULT_TRACE_REPS
+    ur_reps: int = DEFAULT_UNIT_ROOT_REPS
     fractional_d_min: Optional[float] = None
     fractional_delta: float = 0.0
 

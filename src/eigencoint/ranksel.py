@@ -44,7 +44,7 @@ class PenaltySpec:
 
     ``omega1``/``omega2``/``omega3`` scale the smallest eigenvalue by
     ``n**(5/4)``, ``n**(3/2)``, ``n**(2/3)`` respectively; ``custom`` uses
-    ``custom_value`` as-is.
+    ``custom_value``, a finite positive number, as-is.
     """
 
     variant: str = "omega2"
@@ -57,8 +57,8 @@ class PenaltySpec:
                 f"expected one of {PENALTY_VARIANTS}"
             )
         if self.variant == "custom":
-            if self.custom_value is None or not self.custom_value > 0:
-                raise ValueError("custom penalty requires custom_value > 0")
+            if self.custom_value is None or not 0 < self.custom_value < np.inf:
+                raise ValueError("custom penalty requires a finite custom_value > 0")
         elif self.custom_value is not None:
             raise ValueError("custom_value only applies to the custom variant")
 
@@ -188,7 +188,7 @@ def rank_ic(eigen: EigenSystem, omega: float) -> int:
     ----------
     eigen : EigenSystem
     omega : float
-        Positive penalty; see :func:`penalty` for the named choices.
+        Positive, finite penalty; see :func:`penalty` for the named choices.
 
     Returns
     -------
@@ -196,8 +196,8 @@ def rank_ic(eigen: EigenSystem, omega: float) -> int:
         Estimated rank in ``1..p``.
     """
     omega = float(omega)
-    if not omega > 0:
-        raise ValueError(f"penalty must be positive, got {omega}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"penalty must be positive and finite, got {omega}")
     values = np.asarray(eigen.values, dtype=float)
     p = values.size
     if p < 1:
@@ -217,7 +217,7 @@ def penalty(spec: PenaltySpec, n: int, lambda_p: float) -> float:
     Raises
     ------
     DegenerateSpectrum
-        A named variant with ``lambda_p <= 0``.
+        A named variant with ``lambda_p <= 0``, or one that overflows.
     """
     if spec.variant == "custom":
         return float(spec.custom_value)
@@ -225,7 +225,12 @@ def penalty(spec: PenaltySpec, n: int, lambda_p: float) -> float:
         raise DegenerateSpectrum(
             f"penalty {spec.variant} needs lambda_p > 0, got {lambda_p!r}"
         )
-    return float(n) ** _PENALTY_EXPONENTS[spec.variant] * float(lambda_p)
+    omega = float(n) ** _PENALTY_EXPONENTS[spec.variant] * float(lambda_p)
+    if omega == np.inf:
+        raise DegenerateSpectrum(
+            f"penalty {spec.variant} overflows at n={n}, lambda_p={lambda_p!r}"
+        )
+    return omega
 
 
 def _check_fractional_args(d_min: float, delta: float) -> None:

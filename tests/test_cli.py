@@ -176,11 +176,78 @@ def test_analyze_unitroot_panel_too_short(tmp_path, capsys):
         (["--penalty", "custom=abc"], "bad custom penalty"),
         (["--level", "0.7"], "level"),
         (["--j0", "-1"], "j0 >= 0"),
+        (["--penalty", "custom=inf"], "finite custom_value"),
     ],
 )
 def test_analyze_rejects_bad_options(capsys, extra, message):
     assert main(["analyze", "--input", str(COINT_PAIR)] + extra) == 2
     assert message in capsys.readouterr().err
+
+
+def test_analyze_overflowing_penalty_is_numerical_failure(tmp_path, capsys):
+    # omega2 = n**1.5 * lambda_p overflows while W itself stays finite.
+    big = tmp_path / "big.csv"
+    np.savetxt(big, np.loadtxt(NOISE3, delimiter=",", skiprows=1) * 1e76, delimiter=",")
+    assert main(["analyze", "--input", str(big)]) == 3
+    assert "penalty omega2 overflows" in capsys.readouterr().err
+    assert not (tmp_path / "big_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", str(COINT_PAIR), "--out", "{missing}/r.json"],
+        ["simulate", "--preset", "example2", "--cells", "6,2", "--n", "300",
+         "--estimators", "ratio", "--reps", "2", "--out", "{missing}/r.csv"],
+        ["crit", "--dim", "1", "--T", "100", "--reps", "1000", "--out", "{missing}/c.json"],
+        ["crit", "--dim", "1", "--T", "100", "--reps", "1000", "--out", "{tmp}"],
+    ],
+    ids=["analyze", "simulate", "crit-missing-dir", "crit-directory"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "absent", tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    if argv[0] == "simulate":
+        assert captured.out == ""  # refused before any replicate ran
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_defaults_agree():
+    # Every default that names the same value takes it from one place.
+    import inspect
+    from dataclasses import fields
+
+    from eigencoint.baselines import (
+        johansen_trace,
+        trace_critical_table,
+        unit_root_critical_table,
+    )
+    from eigencoint.cli import build_parser
+
+    def defaults(fn):
+        return {name: param.default for name, param in inspect.signature(fn).parameters.items()
+                if param.default is not inspect.Parameter.empty}
+
+    parser = build_parser()
+    analyze = vars(parser.parse_args(["analyze", "--input", "x.csv"]))
+    crit = vars(parser.parse_args(["crit", "--dim", "1", "--out", "x.json"]))
+    plan = {f.name: f.default for f in fields(ExperimentPlan)}
+    trace = defaults(trace_critical_table)
+    unit_root = defaults(unit_root_critical_table)
+    same = {
+        "j0": [analyze["j0"], plan["j0"], defaults(fit)["j0"]],
+        "level": [analyze["level"], crit["level"], plan["level"], *trace["levels"],
+                  *unit_root["levels"], defaults(johansen_trace)["level"]],
+        "trace T": [crit["T"], plan["crit_T"], trace["T"]],
+        "trace reps": [crit["reps"], plan["crit_reps"], trace["reps"]],
+        "unit-root reps": [plan["ur_reps"], unit_root["reps"]],
+        "seed": [analyze["seed"], crit["seed"], plan["master_seed"], trace["seed"],
+                 unit_root["seed"]],
+        "penalty": [analyze["penalty"], defaults(PenaltySpec)["variant"]],
+    }
+    assert {name: values for name, values in same.items() if len(set(values)) > 1} == {}
 
 
 def test_analyze_degenerate_panel_is_numerical_failure(tmp_path, capsys):

@@ -141,6 +141,12 @@ def test_rank_ic_requires_positive_omega():
         rank_ic(eigen_from([2.0, 1.0]), -1.0)
 
 
+@pytest.mark.parametrize("omega", [np.inf, np.nan])
+def test_rank_ic_rejects_non_finite_omega(omega):
+    with pytest.raises(ValueError, match="finite"):
+        rank_ic(eigen_from([2.0, 1.0]), omega)
+
+
 def test_rank_ic_matches_brute_force():
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -178,6 +184,11 @@ def test_penalty_degenerate_lambda():
     assert penalty(PenaltySpec("custom", 2.0), 100, 0.0) == 2.0
 
 
+def test_penalty_overflow_is_degenerate():
+    with pytest.raises(DegenerateSpectrum, match="overflows"):
+        penalty(PenaltySpec("omega2"), 1000, 1e305)
+
+
 def test_penalty_spec_validation():
     with pytest.raises(ValueError):
         PenaltySpec("omega4")
@@ -187,6 +198,12 @@ def test_penalty_spec_validation():
         PenaltySpec("custom", -1.0)
     with pytest.raises(ValueError):
         PenaltySpec("omega1", 5.0)  # value forbidden for named variants
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_penalty_spec_custom_value_must_be_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        PenaltySpec("custom", value)
 
 
 # ---------------------------------------------------------------------------
