@@ -3,8 +3,10 @@
 Both baselines use critical values simulated inside the package (from seeded
 streams recorded in the table metadata) rather than hard-coded external
 tables, so every reported number is reproducible from seeds alone.  One
-builder, keyed by statistic, makes both tables: each dimension draws from
-``derive_stream(seed, dim)``, and the unit-root table is the ``dims=(1,)`` case.
+builder, keyed by statistic, makes both tables, and the unit-root table is
+the ``dims=(1,)`` case.  The trace table scores every dimension from one
+nested draw: column ``c`` of each repetition comes from
+``derive_stream(seed, c)``, and dimension ``d`` uses columns ``1..d``.
 
 Trace test
 ----------
@@ -40,7 +42,6 @@ the count of rejections estimates the cointegration rank.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,9 +58,14 @@ from .linalg import eigh_desc, solve_spd
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
 _MU_CEILING = 1.0 - 1e-12
-#: Float64 elements per batched draw in the critical-value simulators.  Larger
-#: budgets bought no speed and raised peak memory (2**19 added about 40 MB
-#: to a dims 1..12 trace table).
+#: Float64 elements per column of one batched draw in the critical-value
+#: simulators: a trace chunk holds ``_CHUNK_FLOATS // T`` repetitions of each
+#: of its columns, a unit-root chunk ``_CHUNK_FLOATS // n`` walks.  On a
+#: dims 1..12, T=1000 trace table (2 cores), 2**14, 2**15, 2**16 and 2**18
+#: took 1.1, 1.0-1.15, 0.9 and 1.2 s at 42, 48, 61 and 158 MB peak RSS (29 MB
+#: of it is the import); dims 1..28 at 2**15 took 5.4 s at 65 MB.  Spending
+#: 2**15 on a whole ``(m, D, T)`` chunk instead (m=2) took 2.0-2.7 s: the
+#: per-chunk Python overhead dominates.
 _CHUNK_FLOATS = 2**15
 #: Shortest series :func:`unit_root_stat` accepts.
 _UNIT_ROOT_MIN_N = 20
@@ -151,35 +157,75 @@ class CriticalTable:
         )
 
 
-def _batch_sizes(total: int, row: int):
-    """Split ``total`` draws of ``row`` floats into chunks of about ``_CHUNK_FLOATS``."""
-    m = max(1, _CHUNK_FLOATS // max(row, 1))
-    for start in range(0, total, m):
-        yield min(m, total - start)
+def _draw_and_score(reps: int, row: int, draw, score) -> None:
+    """Draw ``reps`` repetitions chunk by chunk while one worker scores them.
 
-
-def _trace_stat_sample(dim: int, T: int, reps: int, rng) -> np.ndarray:
-    """Seeded sample of the discretized trace functional.
-
-    Repetitions are drawn and scored in ``(m, T, dim)`` chunks.  The stream
-    is consumed in the same order as one ``(T, dim)`` draw per repetition,
-    and every batched step (cumulative sum, demeaning, stacked matmul,
-    solve, trace) performs the same floating-point operations per
-    repetition, so the sample is bitwise that of the one-at-a-time loop.
+    A chunk holds ``m = _CHUNK_FLOATS // row`` repetitions (the last one may
+    hold fewer).  The calling thread runs ``draw(m)``, then hands the chunk to
+    one worker thread, which runs ``score(chunk, start)`` while the next chunk
+    is drawn; at most two chunks are in flight.  Only the calling thread
+    draws, so a stream is read in repetition order whatever the thread
+    timing.  An error in either thread is raised here, after the worker has
+    been joined.
     """
-    stats = np.empty(reps)
-    done = 0
-    for m in _batch_sizes(reps, T * dim):
-        eps = rng.standard_normal((m, T, dim))
-        xlag = np.zeros_like(eps)
-        np.cumsum(eps[:, :-1], axis=1, out=xlag[:, 1:])
-        xc = xlag - xlag.mean(axis=1, keepdims=True)
-        a = eps.transpose(0, 2, 1) @ xc
-        b = xc.transpose(0, 2, 1) @ xc
-        prod = a @ np.linalg.solve(b, a.transpose(0, 2, 1))
-        stats[done:done + m] = np.trace(prod, axis1=1, axis2=2)
-        done += m
-    return stats
+    from concurrent.futures import ThreadPoolExecutor
+
+    m = max(1, _CHUNK_FLOATS // row)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        scoring = None
+        for start in range(0, reps, m):
+            chunk = draw(min(m, reps - start))
+            if scoring is not None:
+                scoring.result()
+            scoring = pool.submit(score, chunk, start)
+        scoring.result()
+
+
+def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
+    """Seeded samples of the discretized trace functional, one row per dim.
+
+    All dims are scored from one nested draw.  Column ``c`` (``1..D``,
+    ``D = max(dims)``) of every repetition is the next ``T`` normals of
+    ``derive_stream(seed, c)``, and dim ``d`` is scored on columns
+    ``1..d``.  Chunks of shape ``(m, D, T)`` hold ``m = _CHUNK_FLOATS // T``
+    repetitions (:func:`_draw_and_score`).  The cumulative sum and the
+    demeaning act on each column alone, and each dim's products
+    ``A = e x'`` and ``B = x x'`` are computed on its own ``:d`` slice, not
+    read off a ``D x D`` product, whose BLAS call could round differently.
+    So a row is bitwise that of the one-repetition-at-a-time loop, and
+    depends on ``(seed, T, reps, d)`` alone: not on the other dims, the
+    chunk size or the thread timing.
+
+    The calling thread draws each chunk and integrates it (cumulative sum,
+    demeaning); the worker forms the products and solves.  That split
+    keeps both threads about equally busy at dims 1..12.  The worker calls
+    raw ``np.linalg.solve`` and no package function, so nothing on the
+    worker thread is timed by a caller's wrapper.
+    """
+    D = max(dims)
+    rngs = [derive_stream(seed, c) for c in range(1, D + 1)]
+    sample = np.empty((len(dims), reps))
+
+    def draw(m: int):
+        eps = np.empty((m, D, T))
+        for c, rng in enumerate(rngs):
+            eps[:, c] = rng.standard_normal((m, T))
+        xc = np.zeros_like(eps)
+        np.cumsum(eps[:, :, :-1], axis=2, out=xc[:, :, 1:])
+        xc -= xc.mean(axis=2, keepdims=True)
+        return eps, xc
+
+    def score(chunk, start: int) -> None:
+        eps, xc = chunk
+        for i, d in enumerate(dims):
+            e, x = eps[:, :d], xc[:, :d]
+            a = e @ x.transpose(0, 2, 1)
+            b = x @ x.transpose(0, 2, 1)
+            prod = a @ np.linalg.solve(b, a.transpose(0, 2, 1))
+            sample[i, start:start + len(eps)] = np.trace(prod, axis1=1, axis2=2)
+
+    _draw_and_score(reps, T, draw, score)
+    return sample
 
 
 def _check_table_args(statistic: str, dims, levels, T: int, reps: int, seed: int) -> None:
@@ -210,19 +256,16 @@ def trace_critical_table(
 ) -> CriticalTable:
     """Simulate trace critical values for several dimensions at once.
 
-    The table's dims are ``dims`` sorted ascending with repeats dropped, and
-    each is simulated once.  Each dimension draws from the stream
-    ``derive_stream(seed, dim)``, so a table built for dims 1..8 agrees
-    exactly with one built for dims 1..3 under the same seed.  Values
-    increase with dimension at fixed level.
-
+    The table's dims are ``dims`` sorted ascending with repeats dropped.
     Every dimension and level, and the seed, are validated before any
-    simulation starts.  The dimensions are then simulated concurrently on
-    one thread per usable CPU (at most one per dimension, largest first);
-    the batched kernel spends its time in NumPy calls that release the
-    interpreter lock.  Because each dimension owns its stream, the values do
-    not depend on the thread count or on the order in which dimensions
-    finish.
+    simulation starts.  All dims are then scored from one nested draw
+    (:func:`_trace_stat_sample`): column ``c`` of each repetition comes from
+    the stream ``derive_stream(seed, c)``, and dim ``d`` uses columns
+    ``1..d``.  A row therefore depends only on ``(seed, T, reps, d)``, so a
+    table built for dims 1..8 agrees exactly with one built for dims 1..3
+    under the same seed.  Values increase with dimension at fixed level.
+    ``meta["sampler"]`` is ``"nested"``, so that a table cached before this
+    layout never merges with one built after it.
     """
     return _critical_table("trace", dims, levels, T, reps, seed)
 
@@ -230,44 +273,28 @@ def trace_critical_table(
 def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
     """The ``"trace"`` or ``"unit_root"`` table, as its public wrapper documents.
 
-    The sampler is looked up at call time, so it can be wrapped.  Trace
-    tables store upper-tail (``1 - level``) quantiles, unit-root tables
-    lower-tail (``level``) ones.
+    The sampler is looked up at call time, so it can be wrapped.  It takes
+    ``(dims, T, reps, seed)`` and returns one row of ``reps`` statistics per
+    dim.  Trace tables store upper-tail (``1 - level``) quantiles, unit-root
+    tables lower-tail (``level``) ones.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
     _check_table_args(statistic, dims, levels, T, reps, seed)
-    sampler, quantiles = {
-        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels]),
-        "unit_root": (_unit_root_stat_sample, list(levels)),
+    sampler, quantiles, tag = {
+        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels], {"sampler": "nested"}),
+        "unit_root": (_unit_root_stat_sample, list(levels), {}),
     }[statistic]
-
-    def simulate(dim: int) -> np.ndarray:
-        return np.quantile(sampler(dim, T, reps, derive_stream(seed, dim)), quantiles)
-
     values = np.empty((len(dims), len(levels)))
     if dims:
-        workers = min(len(dims), _usable_cpus())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(simulate, dims[i]) for i in reversed(range(len(dims)))}
-            for i, future in futures.items():
-                values[i] = future.result()
+        for i, sample in enumerate(sampler(dims, T, reps, seed)):
+            values[i] = np.quantile(sample, quantiles)
     return CriticalTable(
         dims=dims,
         levels=levels,
         values=values,
-        meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic},
+        meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic, **tag},
     )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,35 +503,26 @@ def unit_root_critical_table(
     return _critical_table("unit_root", (1,), levels, n, reps, seed)
 
 
-def _unit_root_stat_sample(dim: int, n: int, reps: int, rng) -> np.ndarray:
+def _unit_root_stat_sample(dims, n: int, reps: int, seed: int) -> np.ndarray:
     """Seeded sample of :func:`unit_root_stat` on random walks of length ``n``.
 
-    ``dim`` is the table's only dimension, 1: the statistic is univariate.
-    The calling thread draws the walks' steps from ``rng`` in ``(m, n)``
-    chunks, in the order of one walk at a time, while one worker thread
-    cumsums and scores (:func:`_unit_root_stats`) the previous chunk into its
-    own slice of the sample; at most two chunks are in flight.  Only the
-    calling thread reads the stream and each walk's arithmetic does not
-    depend on its chunk, so the sample is bitwise that of a per-walk loop,
-    whatever the chunk size or the thread timing.
+    ``dims`` is ``(1,)``: the statistic is univariate, and its one row comes
+    from the stream ``derive_stream(seed, 1)``.  The calling thread draws
+    the walks' steps in ``(m, n)`` chunks, in the order of one walk at a
+    time, while one worker thread cumsums and scores
+    (:func:`_unit_root_stats`) the previous chunk (:func:`_draw_and_score`).
+    Each walk's arithmetic does not depend on its chunk, so the sample is
+    bitwise that of a per-walk loop, whatever the chunk size or the thread
+    timing.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    sample = np.empty(reps)
+    (dim,) = dims
+    rng = derive_stream(seed, dim)
+    sample = np.empty((1, reps))
 
     def score(steps: np.ndarray, start: int) -> None:
-        sample[start:start + len(steps)] = _unit_root_stats(np.cumsum(steps, axis=1))
+        sample[0, start:start + len(steps)] = _unit_root_stats(np.cumsum(steps, axis=1))
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        scoring = None
-        done = 0
-        for m in _batch_sizes(reps, n):
-            steps = rng.standard_normal((m, n))
-            if scoring is not None:
-                scoring.result()
-            scoring = pool.submit(score, steps, done)
-            done += m
-        scoring.result()
+    _draw_and_score(reps, n, lambda m: rng.standard_normal((m, n)), score)
     return sample
 
 

@@ -376,8 +376,8 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
     """
     tables = {}
     if "johansen" in plan.estimators:
-        # One table for every cell: each dimension has its own stream, so
-        # its rows do not depend on which other dimensions are simulated.
+        # One table for every cell: a row depends only on (seed, T, reps,
+        # dim), not on which other dimensions are simulated.
         tables["johansen"] = trace_critical_table(
             dims=range(1, max(s.p for s in plan.scenarios) + 1),
             levels=(plan.level,),

@@ -1,5 +1,7 @@
 import json
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -108,8 +110,12 @@ def test_derive_stream_is_keyed():
 # simulated trace critical values
 
 def trace_quantile(T, reps, rng, level=0.05):
-    """``1 - level`` quantile of one seeded dim-1 trace sample."""
-    return float(np.quantile(baselines._trace_stat_sample(1, T, reps, rng), 1.0 - level))
+    """``1 - level`` quantile of a dim-1 trace sample whose one column is
+    drawn from ``rng`` (the sampler's ``derive_stream(seed, 1)``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "derive_stream", lambda *key: rng)
+        sample = baselines._trace_stat_sample((1,), T, reps, 0)[0]
+    return float(np.quantile(sample, 1.0 - level))
 
 
 @pytest.mark.parametrize(
@@ -168,29 +174,42 @@ def test_trace_table_subset_rows_agree_bitwise(trace_table):
 
 
 def test_trace_table_records_meta(trace_table):
-    assert trace_table.meta == {"T": 1000, "reps": 2000, "seed": 0, "statistic": "trace"}
+    assert trace_table.meta == {
+        "T": 1000, "reps": 2000, "seed": 0, "statistic": "trace", "sampler": "nested"
+    }
 
 
-def reference_trace_sample(dim, T, reps, rng):
-    """The one-repetition-at-a-time loop the batched sampler replaced."""
-    stats = np.empty(reps)
+def test_trace_dim_one_value_is_pinned(trace_table):
+    # Column 1 of the nested draw is the one-dimension stream
+    # derive_stream(seed, 1), scored as a one-column sample.
+    assert trace_table.value(1, 0.05) == 8.322607745266891
+
+
+def reference_trace_sample(dims, T, reps, seed):
+    """The nested draw one repetition at a time: column ``c`` of repetition
+    ``k`` is the next ``T`` normals of ``derive_stream(seed, c)``, and dim
+    ``d`` is scored on columns ``1..d``."""
+    rngs = [derive_stream(seed, c) for c in range(1, max(dims) + 1)]
+    stats = np.empty((len(dims), reps))
     for k in range(reps):
-        eps = rng.standard_normal((T, dim))
-        x = np.cumsum(eps, axis=0)
-        xlag = np.vstack([np.zeros((1, dim)), x[:-1]])
-        xc = xlag - xlag.mean(axis=0)
-        a = eps.T @ xc
-        b = xc.T @ xc
-        stats[k] = np.trace(a @ np.linalg.solve(b, a.T))
+        eps = np.vstack([rng.standard_normal(T) for rng in rngs])
+        xlag = np.zeros_like(eps)
+        xlag[:, 1:] = np.cumsum(eps[:, :-1], axis=1)
+        xc = xlag - xlag.mean(axis=1, keepdims=True)
+        for i, d in enumerate(dims):
+            a = eps[:d] @ xc[:d].T
+            b = xc[:d] @ xc[:d].T
+            stats[i, k] = np.trace(a @ np.linalg.solve(b, a.T))
     return stats
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 def test_batched_trace_sample_matches_loop_bitwise(dim):
     T, reps = 100, 1000
-    assert reps % (baselines._CHUNK_FLOATS // (T * dim)) != 0  # a ragged last chunk
-    expected = reference_trace_sample(dim, T, reps, derive_stream(7, dim))
-    got = baselines._trace_stat_sample(dim, T, reps, derive_stream(7, dim))
+    assert reps % (baselines._CHUNK_FLOATS // T) != 0  # a ragged last chunk
+    dims = tuple(range(1, dim + 1))
+    expected = reference_trace_sample(dims, T, reps, 7)
+    got = baselines._trace_stat_sample(dims, T, reps, 7)
     assert_array_equal(got, expected)
 
 
@@ -198,26 +217,83 @@ def test_threaded_trace_table_matches_loop_bitwise():
     levels = (0.01, 0.05, 0.1)
     table = trace_critical_table(dims=(4, 1, 2), levels=levels, T=100, reps=1000, seed=9)
     assert table.dims == (1, 2, 4)
-    for dim in (4, 1, 2):
-        sample = reference_trace_sample(dim, 100, 1000, derive_stream(9, dim))
+    samples = reference_trace_sample((1, 2, 4), 100, 1000, 9)
+    for i, sample in enumerate(samples):
         expected = np.quantile(sample, [1 - lv for lv in levels])
-        assert_array_equal(table.values[table.dims.index(dim)], expected)
+        assert_array_equal(table.values[i], expected)
 
 
 def test_trace_table_sorts_and_dedupes_dims(monkeypatch):
     sample = baselines._trace_stat_sample
     calls = []
 
-    def counted(dim, *args):
-        calls.append(dim)
-        return sample(dim, *args)
+    def counted(dims, *args):
+        calls.append(dims)
+        return sample(dims, *args)
 
     monkeypatch.setattr(baselines, "_trace_stat_sample", counted)
     table = trace_critical_table(dims=(2, 1, 1), T=100, reps=1000)
     assert table.dims == (1, 2)
-    assert sorted(calls) == [1, 2]
+    assert calls == [(1, 2)]
     expected = trace_critical_table(dims=(1, 2), T=100, reps=1000)
     assert_array_equal(table.values, expected.values)
+
+
+def test_trace_row_does_not_depend_on_other_dims():
+    full = trace_critical_table(dims=range(1, 13), T=100, reps=1000, seed=3)
+    alone = trace_critical_table(dims=(12,), T=100, reps=1000, seed=3)
+    assert_array_equal(alone.values[0], full.values[-1])
+
+
+def test_trace_rows_do_not_depend_on_chunk_size(monkeypatch):
+    expected = trace_critical_table(dims=(1, 3, 5), T=100, reps=1000, seed=4)
+    monkeypatch.setattr(baselines, "_CHUNK_FLOATS", 7 * 100)
+    assert 1000 % 7 != 0  # a ragged last chunk
+    got = trace_critical_table(dims=(1, 3, 5), T=100, reps=1000, seed=4)
+    assert_array_equal(got.values, expected.values)
+
+
+def test_trace_rows_do_not_depend_on_thread_timing(monkeypatch):
+    expected = trace_critical_table(dims=(1, 3), T=100, reps=1000, seed=5)
+    monkeypatch.setattr(baselines, "_CHUNK_FLOATS", 7 * 100)
+    solve = np.linalg.solve
+    calls = []
+
+    def stalling(a, b):
+        # Every third solve stalls the worker, so the drawing thread runs ahead.
+        calls.append(len(a))
+        if len(calls) % 3 == 0:
+            time.sleep(0.001)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", stalling)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = trace_critical_table(dims=(1, 3), T=100, reps=1000, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 2 * -(-1000 // 7)
+    assert_array_equal(got.values, expected.values)
+
+
+def test_trace_table_raises_worker_error_and_joins_worker(monkeypatch):
+    solve = np.linalg.solve
+    calls = []
+
+    def failing_fifth(a, b):
+        # Two dims per chunk: the fifth solve is the third chunk's first.
+        calls.append(len(a))
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("third chunk")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_fifth)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="third chunk"):
+        trace_critical_table(dims=(1, 2), T=1000, reps=2000)
+    assert len(calls) == 5
+    assert threading.active_count() == threads
 
 
 def test_trace_table_validates_every_dim_before_simulating(monkeypatch):
