@@ -62,9 +62,10 @@ _MU_CEILING = 1.0 - 1e-12
 #: simulators: a trace chunk holds ``_CHUNK_FLOATS // T`` repetitions of each
 #: of its columns, a unit-root chunk ``_CHUNK_FLOATS // n`` walks.  On a
 #: dims 1..12, T=1000 trace table (2 cores), 2**14, 2**15, 2**16 and 2**18
-#: took 1.1, 1.0-1.15, 0.9 and 1.2 s at 42, 48, 61 and 158 MB peak RSS (29 MB
-#: of it is the import); dims 1..28 at 2**15 took 5.4 s at 65 MB.  Spending
-#: 2**15 on a whole ``(m, D, T)`` chunk instead (m=2) took 2.0-2.7 s: the
+#: took 0.83-0.85, 0.80-0.82, 0.65-0.71 and 0.76-0.78 s at 40, 45, 55 and
+#: 112 MB peak RSS (29 MB of it is the import); dims 1..28 took 2.2, 2.3
+#: and 2.4 s at 47, 58 and 80 MB for 2**14, 2**15 and 2**16.  Spending
+#: 2**15 on a whole ``(m, D, T)`` chunk instead (m=2) took 1.8-2.0 s: the
 #: per-chunk Python overhead dominates.
 _CHUNK_FLOATS = 2**15
 #: Shortest series :func:`unit_root_stat` accepts.
@@ -157,20 +158,35 @@ class CriticalTable:
         )
 
 
+def _chunk_reps(row: int) -> int:
+    """Repetitions per chunk of a simulator whose repetitions hold ``row``
+    floats per column: ``_CHUNK_FLOATS // row``, at least one."""
+    return max(1, _CHUNK_FLOATS // row)
+
+
 def _draw_and_score(reps: int, row: int, draw, score) -> None:
     """Draw ``reps`` repetitions chunk by chunk while one worker scores them.
 
-    A chunk holds ``m = _CHUNK_FLOATS // row`` repetitions (the last one may
-    hold fewer).  The calling thread runs ``draw(m)``, then hands the chunk to
+    A chunk holds ``m = _chunk_reps(row)`` repetitions (the last one may hold
+    fewer).  The calling thread runs ``draw(m)``, then hands the chunk to
     one worker thread, which runs ``score(chunk, start)`` while the next chunk
-    is drawn; at most two chunks are in flight.  Only the calling thread
-    draws, so a stream is read in repetition order whatever the thread
-    timing.  An error in either thread is raised here, after the worker has
-    been joined.
+    is drawn; at most two chunks are in flight.  Chunk ``k``'s score has
+    returned before chunk ``k + 2`` is drawn, so a sampler may draw into two
+    buffers in turn.  Only the calling thread draws, so a stream is read in
+    repetition order whatever the thread timing.  An error in either thread
+    is raised here, after the worker has been joined.
+
+    The two threads overlap only while the worker runs without the GIL.
+    Philox draws release it; so do stacked gemm, ``np.linalg.solve`` and
+    ``np.vecdot``.  Stacked gemv-shaped ``(1, T) @ (T, k)`` matmuls,
+    ``np.trace`` and ``np.cumsum`` hold it in their loops.  Measured (2
+    cores): 200 ``(32, 1000)`` Philox draws take 0.16 s alone, 0.16-0.17 s
+    next to a worker looping one of the first group, and 1.20-1.33 s next
+    to one looping one of the second.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    m = max(1, _CHUNK_FLOATS // row)
+    m = _chunk_reps(row)
     with ThreadPoolExecutor(max_workers=1) as pool:
         scoring = None
         for start in range(0, reps, m):
@@ -187,42 +203,51 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     All dims are scored from one nested draw.  Column ``c`` (``1..D``,
     ``D = max(dims)``) of every repetition is the next ``T`` normals of
     ``derive_stream(seed, c)``, and dim ``d`` is scored on columns
-    ``1..d``.  Chunks of shape ``(m, D, T)`` hold ``m = _CHUNK_FLOATS // T``
-    repetitions (:func:`_draw_and_score`).  The cumulative sum and the
-    demeaning act on each column alone, and each dim's products
-    ``A = e x'`` and ``B = x x'`` are computed on its own ``:d`` slice, not
-    read off a ``D x D`` product, whose BLAS call could round differently.
-    So a row is bitwise that of the one-repetition-at-a-time loop, and
-    depends on ``(seed, T, reps, d)`` alone: not on the other dims, the
+    ``1..d``.  Chunks hold ``m = _chunk_reps(T)`` repetitions of every
+    column (:func:`_draw_and_score`).  The cumulative sum and the demeaning
+    act on each column alone.  The moment matrices ``A = e x'`` and
+    ``B = x x'`` are formed once per chunk over all ``D`` columns, each
+    entry one ``np.vecdot`` (a BLAS dot) of two length-``T`` rows, and dim
+    ``d`` is scored on their leading ``d x d`` blocks.  So a row is bitwise
+    that of the one-repetition-at-a-time loop whose entries are 1-D dots,
+    and depends on ``(seed, T, reps, d)`` alone: not on the other dims, the
     chunk size or the thread timing.
 
-    The calling thread draws each chunk and integrates it (cumulative sum,
-    demeaning); the worker forms the products and solves.  That split
-    keeps both threads about equally busy at dims 1..12.  The worker calls
-    raw ``np.linalg.solve`` and no package function, so nothing on the
-    worker thread is timed by a caller's wrapper.
+    The calling thread only draws, each column into one of two
+    ``(m, D, T)`` slots allocated before the first draw and used in turn.
+    That is safe only because :func:`_draw_and_score` waits for chunk
+    ``k``'s score before it draws chunk ``k + 2``.  The worker integrates
+    each chunk (cumulative sum, demeaning) into one buffer, also allocated
+    up front, forms the products and solves.  It calls raw ``np.linalg.solve`` and no package function,
+    so nothing on the worker thread is timed by a caller's wrapper.
     """
+    from itertools import cycle
+
     D = max(dims)
     rngs = [derive_stream(seed, c) for c in range(1, D + 1)]
     sample = np.empty((len(dims), reps))
+    m = min(reps, _chunk_reps(T))
+    slots = cycle(np.empty((2, m, D, T)))
+    walks = np.empty((m, D, T))
 
-    def draw(m: int):
-        eps = np.empty((m, D, T))
+    def draw(k: int) -> np.ndarray:
+        eps = next(slots)[:k]
         for c, rng in enumerate(rngs):
-            eps[:, c] = rng.standard_normal((m, T))
-        xc = np.zeros_like(eps)
+            eps[:, c] = rng.standard_normal((k, T))
+        return eps
+
+    def score(eps: np.ndarray, start: int) -> None:
+        k = len(eps)
+        xc = walks[:k]
+        xc[:, :, 0] = 0.0
         np.cumsum(eps[:, :, :-1], axis=2, out=xc[:, :, 1:])
         xc -= xc.mean(axis=2, keepdims=True)
-        return eps, xc
-
-    def score(chunk, start: int) -> None:
-        eps, xc = chunk
+        a_full = np.vecdot(eps[:, :, None], xc[:, None])
+        b_full = np.vecdot(xc[:, :, None], xc[:, None])
         for i, d in enumerate(dims):
-            e, x = eps[:, :d], xc[:, :d]
-            a = e @ x.transpose(0, 2, 1)
-            b = x @ x.transpose(0, 2, 1)
-            prod = a @ np.linalg.solve(b, a.transpose(0, 2, 1))
-            sample[i, start:start + len(eps)] = np.trace(prod, axis1=1, axis2=2)
+            a = a_full[:, :d, :d]
+            prod = a @ np.linalg.solve(b_full[:, :d, :d], a.transpose(0, 2, 1))
+            sample[i, start:start + k] = np.trace(prod, axis1=1, axis2=2)
 
     _draw_and_score(reps, T, draw, score)
     return sample
@@ -264,8 +289,9 @@ def trace_critical_table(
     ``1..d``.  A row therefore depends only on ``(seed, T, reps, d)``, so a
     table built for dims 1..8 agrees exactly with one built for dims 1..3
     under the same seed.  Values increase with dimension at fixed level.
-    ``meta["sampler"]`` is ``"nested"``, so that a table cached before this
-    layout never merges with one built after it.
+    ``meta["sampler"]`` is ``"nested-dot"``, so that a table cached by an
+    earlier sampler (untagged, or ``"nested"``, whose products rounded
+    differently) never merges with one built by this one.
     """
     return _critical_table("trace", dims, levels, T, reps, seed)
 
@@ -282,7 +308,7 @@ def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) 
     levels = tuple(float(lv) for lv in levels)
     _check_table_args(statistic, dims, levels, T, reps, seed)
     sampler, quantiles, tag = {
-        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels], {"sampler": "nested"}),
+        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels], {"sampler": "nested-dot"}),
         "unit_root": (_unit_root_stat_sample, list(levels), {}),
     }[statistic]
     values = np.empty((len(dims), len(levels)))

@@ -175,7 +175,7 @@ def test_trace_table_subset_rows_agree_bitwise(trace_table):
 
 def test_trace_table_records_meta(trace_table):
     assert trace_table.meta == {
-        "T": 1000, "reps": 2000, "seed": 0, "statistic": "trace", "sampler": "nested"
+        "T": 1000, "reps": 2000, "seed": 0, "statistic": "trace", "sampler": "nested-dot"
     }
 
 
@@ -185,10 +185,15 @@ def test_trace_dim_one_value_is_pinned(trace_table):
     assert trace_table.value(1, 0.05) == 8.322607745266891
 
 
+def test_trace_largest_dim_value_is_pinned(trace_table):
+    assert trace_table.value(3, 0.05) == 32.32104538933965
+
+
 def reference_trace_sample(dims, T, reps, seed):
     """The nested draw one repetition at a time: column ``c`` of repetition
-    ``k`` is the next ``T`` normals of ``derive_stream(seed, c)``, and dim
-    ``d`` is scored on columns ``1..d``."""
+    ``k`` is the next ``T`` normals of ``derive_stream(seed, c)``, dim ``d``
+    is scored on columns ``1..d``, and every moment-matrix entry is one 1-D
+    dot of two length-``T`` rows."""
     rngs = [derive_stream(seed, c) for c in range(1, max(dims) + 1)]
     stats = np.empty((len(dims), reps))
     for k in range(reps):
@@ -197,17 +202,17 @@ def reference_trace_sample(dims, T, reps, seed):
         xlag[:, 1:] = np.cumsum(eps[:, :-1], axis=1)
         xc = xlag - xlag.mean(axis=1, keepdims=True)
         for i, d in enumerate(dims):
-            a = eps[:d] @ xc[:d].T
-            b = xc[:d] @ xc[:d].T
+            a = np.array([[eps[r] @ xc[c] for c in range(d)] for r in range(d)])
+            b = np.array([[xc[r] @ xc[c] for c in range(d)] for r in range(d)])
             stats[i, k] = np.trace(a @ np.linalg.solve(b, a.T))
     return stats
 
 
-@pytest.mark.parametrize("dim", [1, 4])
-def test_batched_trace_sample_matches_loop_bitwise(dim):
+# Ids name the largest dim of a range ``1..D``, or the dims with gaps.
+@pytest.mark.parametrize("dims", [(1,), (1, 2, 3, 4), (2, 5)], ids=["1", "4", "2,5"])
+def test_batched_trace_sample_matches_loop_bitwise(dims):
     T, reps = 100, 1000
     assert reps % (baselines._CHUNK_FLOATS // T) != 0  # a ragged last chunk
-    dims = tuple(range(1, dim + 1))
     expected = reference_trace_sample(dims, T, reps, 7)
     got = baselines._trace_stat_sample(dims, T, reps, 7)
     assert_array_equal(got, expected)

@@ -559,16 +559,18 @@ def test_crit_incompatible_cache_replaced(tmp_path):
 
 
 def test_crit_replaces_cache_of_old_sampler(tmp_path):
-    # A table written before the nested sampler has no sampler tag: its rows
-    # come from another draw layout and must not be merged with new ones.
+    # Tables of earlier samplers must not be merged with new rows: an
+    # untagged one comes from another draw layout, and a "nested" one formed
+    # its products as stacked gemms, whose rows differ in the last bits.
     out = tmp_path / "cache.json"
-    old = {"dims": [3], "levels": [0.05], "values": [[30.0]],
-           "meta": {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace"}}
-    out.write_text(json.dumps(old))
-    assert main(crit_args(out, dim="1..2")) == 0
-    table = CriticalTable.from_dict(json.loads(out.read_text()))
-    assert table.dims == (1, 2)
-    assert table.meta["sampler"] == "nested"
+    for tag in ({}, {"sampler": "nested"}):
+        old = {"dims": [3], "levels": [0.05], "values": [[30.0]],
+               "meta": {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace", **tag}}
+        out.write_text(json.dumps(old))
+        assert main(crit_args(out, dim="1..2")) == 0
+        table = CriticalTable.from_dict(json.loads(out.read_text()))
+        assert table.dims == (1, 2)
+        assert table.meta["sampler"] == "nested-dot"
 
 
 def test_crit_corrupt_cache_replaced(tmp_path):
@@ -577,7 +579,7 @@ def test_crit_corrupt_cache_replaced(tmp_path):
     # with a row missing.
     short = {"dims": [1, 2], "levels": [0.05], "values": [[1.0]],
              "meta": {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace",
-                      "sampler": "nested"}}
+                      "sampler": "nested-dot"}}
     for content in ("garbage", "[]", "3", json.dumps(short)):
         out.write_text(content)
         assert main(crit_args(out)) == 0
