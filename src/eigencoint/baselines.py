@@ -43,6 +43,7 @@ the count of rejections estimates the cointegration rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Optional
 
 import numpy as np
@@ -54,7 +55,7 @@ from .errors import (
     SingularMatrix,
     SingularMoments,
 )
-from .linalg import eigh_desc, solve_spd
+from .linalg import SPD_RTOL, eigh_desc, solve_spd
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
 _MU_CEILING = 1.0 - 1e-12
@@ -218,11 +219,10 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     That is safe only because :func:`_draw_and_score` waits for chunk
     ``k``'s score before it draws chunk ``k + 2``.  The worker integrates
     each chunk (cumulative sum, demeaning) into one buffer, also allocated
-    up front, forms the products and solves.  It calls raw ``np.linalg.solve`` and no package function,
-    so nothing on the worker thread is timed by a caller's wrapper.
+    up front, forms the products and solves.  It calls raw
+    ``np.linalg.solve`` and no package function, so nothing on the worker
+    thread is timed by a caller's wrapper.
     """
-    from itertools import cycle
-
     D = max(dims)
     rngs = [derive_stream(seed, c) for c in range(1, D + 1)]
     sample = np.empty((len(dims), reps))
@@ -392,7 +392,7 @@ def johansen_trace(series, crit: CriticalTable, level: float = DEFAULT_LEVEL) ->
     s01 = (dyc.T @ ylc) / t_eff
 
     eig11 = eigh_desc(s11)
-    if eig11.values[-1] <= 1e-12 * max(eig11.values[0], 0.0) or eig11.values[0] <= 0.0:
+    if eig11.values[0] <= 0.0 or eig11.values[-1] <= SPD_RTOL * eig11.values[0]:
         raise SingularMoments("lagged-level moment matrix is singular")
     isqrt11 = eig11.vectors @ (eig11.vectors / np.sqrt(eig11.values)).T
     try:
@@ -465,12 +465,11 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
 
     The whole batch goes through each step: the checks, the demeaning, the
     inner products and the scalar tail, as length-``m`` arrays in the
-    operation order of a 1-D series.  Each inner product is a stacked
-    ``(m, 1, k) @ (m, k, 1)`` matmul, which runs the BLAS dot of a 1-D
-    ``row @ row`` once per row.  ``xs`` is made C-contiguous first, because
-    a strided row would go through a different BLAS dot kernel.  A row's
-    statistic is therefore bitwise the same whatever batch, or stride, it
-    is scored in.
+    operation order of a 1-D series.  Each inner product is one
+    ``np.vecdot``, which is one BLAS dot per row.  ``xs`` is made
+    C-contiguous first, because a strided row would go through a different
+    BLAS dot kernel.  A row's statistic is therefore bitwise the same
+    whatever batch, or stride, it is scored in.
     """
     xs = np.ascontiguousarray(xs)
     n = xs.shape[1]
@@ -485,25 +484,19 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     # sum / count is what ndarray.mean computes, without its Python wrapper
     w = ylag - ylag.sum(axis=1, keepdims=True) / t_eff
     ynow_c = ynow - ynow.sum(axis=1, keepdims=True) / t_eff
-    w_rows = w[:, None, :]
-    ss_w = (w_rows @ w[:, :, None])[:, 0, 0]
+    ss_w = np.vecdot(w, w)
     if (ss_w == 0.0).any():
         raise DegenerateComponent("lagged series is constant")
 
     q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
     if q < 0:
         raise ValueError(f"bandwidth must be non-negative, got {q}")
-    rho = (w_rows @ ynow[:, :, None])[:, 0, 0] / ss_w
+    rho = np.vecdot(w, ynow) / ss_w
     resid = ynow_c - rho[:, None] * w
-    lags = range(1, min(q, t_eff - 1) + 1)
-    rows, cols = resid[:, None, :], resid[:, :, None]
-    dots = [rows @ cols] + [rows[:, :, j:] @ cols[:, :-j] for j in lags]
-    # Column 0 is gamma_0, column j the Bartlett-weighted gamma_j; the
-    # cumulative sum adds them one at a time, in the scalar recursion's order.
-    terms = np.concatenate(dots, axis=1)[:, :, 0] / t_eff
-    terms *= np.array([1.0] + [2.0 * (1.0 - j / (q + 1.0)) for j in lags])
-    gamma0 = terms[:, 0]
-    lam2 = np.cumsum(terms, axis=1)[:, -1]
+    gamma0 = np.vecdot(resid, resid) / t_eff
+    lam2 = gamma0
+    for j in range(1, min(q, t_eff - 1) + 1):
+        lam2 = lam2 + np.vecdot(resid[:, j:], resid[:, :-j]) / t_eff * (2.0 * (1.0 - j / (q + 1.0)))
     return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 

@@ -196,7 +196,8 @@ def cmd_analyze(args) -> int:
 
 def _print_tables(report) -> None:
     """Benchmark-style layout: per scenario, estimator rows x sample-size
-    columns, a block of correct-rank frequencies then one of mean distances."""
+    columns, a block of correct-rank frequencies then one of mean distances.
+    :func:`run_plan` returns a cell for every (scenario, n, estimator)."""
     n_grid = list(report.plan.n_grid)
     by_key = {(c.scenario, c.estimator, c.n): c for c in report.cells}
     width = max([len(e) for e in report.plan.estimators] + [9])
@@ -208,10 +209,8 @@ def _print_tables(report) -> None:
             print(f"  {label}")
             print(header)
             for est in report.plan.estimators:
-                cells = [by_key.get((scenario.name, est, n)) for n in n_grid]
                 row = "".join(
-                    f"{getattr(c, attr):>10.3f}" if c is not None else f"{'--':>10}"
-                    for c in cells
+                    f"{getattr(by_key[scenario.name, est, n], attr):>10.3f}" for n in n_grid
                 )
                 print(f"  {est:<{width}}{row}")
         print()

@@ -89,10 +89,11 @@ class ExperimentPlan:
         :meth:`ScenarioSpec.from_dict`); each names its report rows, so
         names must be distinct.
     n_grid : tuple of int
-        Sample sizes, each valid for every scenario and every estimator.
+        Distinct sample sizes, each valid for every scenario and every
+        estimator.
     estimators : tuple of str
-        Subset of :data:`ESTIMATORS`; ``fractional_ratio`` requires every
-        scenario to contain a fractionally integrated block.
+        Distinct names from :data:`ESTIMATORS`; ``fractional_ratio``
+        requires every scenario to contain a fractionally integrated block.
     reps : int
         Replicates per cell.
     parallelism : int
@@ -165,9 +166,13 @@ class ExperimentPlan:
                     raise ValueError(f"scenario {s.name!r} sets {key}; a plan's {owner} sets it")
             for n in self.n_grid:
                 replace(s, n=n)
-        names = [s.name for s in scenarios]
-        if len(set(names)) < len(names):
-            raise ValueError(f"scenario names must be distinct, got {names}")
+        # Each (scenario, n, estimator) names one report row.
+        for label, values in (("scenario names", [s.name for s in scenarios]),
+                              ("n_grid entries", list(self.n_grid)),
+                              ("estimators", list(self.estimators))):
+            repeated = [v for i, v in enumerate(values) if values[:i].count(v) == 1]
+            if repeated:
+                raise ValueError(f"{label} must be distinct, got {values} (repeated: {repeated})")
         n_min = min(self.n_grid)
         if not 0 <= self.j0 <= n_min - 2:
             raise ValueError(

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidMatrix, SingularMatrix
 
-# SPD acceptance for solve_spd: smallest eigenvalue must exceed this multiple
-# of the largest.
+# SPD acceptance for solve_spd and for johansen_trace's lagged-level moments:
+# the smallest eigenvalue must exceed this multiple of the largest.
 SPD_RTOL = 1e-12
 
 

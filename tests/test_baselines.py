@@ -508,13 +508,18 @@ def test_batched_unit_root_table_matches_loop_bitwise(n):
     assert_array_equal(table.values[0], np.quantile(sample, levels))
 
 
-@pytest.mark.parametrize("bandwidth", [None, 0, 3, 60])
-def test_batched_unit_root_stat_matches_scalar_formula(bandwidth):
+@pytest.mark.parametrize(
+    "n, bandwidth",
+    # n=20 with bandwidth 30 sums lags only up to t_eff - 1 = 18
+    [(120, None), (120, 0), (120, 3), (120, 60), (20, 30)],
+    ids=["None", "0", "3", "60", "n20-30"],
+)
+def test_batched_unit_root_stat_matches_scalar_formula(n, bandwidth):
     rng = derive_stream(55)
     rows = np.vstack([
-        np.cumsum(rng.standard_normal(120)),
-        rng.standard_normal(120),
-        np.cumsum(np.cumsum(rng.standard_normal(120))),
+        np.cumsum(rng.standard_normal(n)),
+        rng.standard_normal(n),
+        np.cumsum(np.cumsum(rng.standard_normal(n))),
     ])
     batched = baselines._unit_root_stats(rows, bandwidth)
     for row, stat in zip(rows, batched):

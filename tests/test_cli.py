@@ -260,28 +260,69 @@ def test_analyze_degenerate_panel_is_numerical_failure(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # simulate
 
+def printed_cells(stdout, sizes, estimators):
+    """``{(column, n, estimator): text}`` read off :func:`_print_tables`'s blocks."""
+    blocks = {"correct-rank frequency": "freq", "mean distance": "dist_mean"}
+    header = "".join(f"{'n=' + str(n):>10}" for n in sizes)
+    printed, column = {}, None
+    for line in stdout.splitlines():
+        text = line.strip()
+        if text in blocks:
+            column = blocks[text]
+        elif text.startswith("n="):
+            assert line.endswith(header)
+        elif column is not None and text.partition(" ")[0] in estimators:
+            est, *values = text.split()
+            assert len(values) == len(sizes)
+            printed.update({(column, n, est): v for n, v in zip(sizes, values)})
+    return printed
+
+
 def test_simulate_preset_subset(tmp_path, capsys):
     out = tmp_path / "report.csv"
-    rc = main([
-        "simulate", "--preset", "example2", "--cells", "6,2", "--n", "300",
-        "--estimators", "ratio", "--reps", "5", "--out", str(out),
-    ])
-    assert rc == 0
+    argv = [
+        "simulate", "--preset", "example2", "--cells", "6,2", "--n", "200,300",
+        "--estimators", "ratio,ic_omega2", "--reps", "5",
+    ]
+    assert main(argv + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("scenario,p,r,n,estimator")
-    assert lines[1].startswith("p6_r2,6,2,300,ratio,")
+    assert len(lines) == 5
+    assert lines[0].startswith("scenario,p,r,n,estimator,freq,dist_mean,")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(row["scenario"], row["n"], row["estimator"]) for row in rows] == [
+        ("p6_r2", n, est) for n in ("200", "300") for est in ("ratio", "ic_omega2")
+    ]
     stdout = capsys.readouterr().out
     assert "scenario p6_r2 (p=6, r=2)" in stdout
-    assert "correct-rank frequency" in stdout
-    assert "mean distance" in stdout
+    printed = printed_cells(stdout, (200, 300), ("ratio", "ic_omega2"))
+    expected = {
+        (column, int(row["n"]), row["estimator"]): row[column]
+        for row in rows for column in ("freq", "dist_mean")
+    }
+    assert printed == expected
 
     again = tmp_path / "again.csv"
-    main([
-        "simulate", "--preset", "example2", "--cells", "6,2", "--n", "300",
-        "--estimators", "ratio", "--reps", "5", "--out", str(again),
-    ])
+    assert main(argv + ["--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "300,300", "n_grid entries must be distinct, got [300, 300] (repeated: [300])"),
+    ("--estimators", "ratio,ic_omega2,ratio",
+     "estimators must be distinct, got ['ratio', 'ic_omega2', 'ratio'] (repeated: ['ratio'])"),
+], ids=["n", "estimators"])
+def test_simulate_rejects_repeated_sizes_and_estimators(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "report.csv"
+    reps_out = tmp_path / "reps.csv"
+    rc = main([
+        "simulate", "--preset", "example2", "--cells", "6,2", "--reps", "5", flag, value,
+        "--out", str(out), "--replicates-out", str(reps_out),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid plan: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def small_plan_dict():

@@ -150,6 +150,11 @@ def test_template_order_properties():
          "p must be an integer, got 4.5"),
         ({"scenarios": (replace(small_template(), seed=7),)},
          "sets seed; a plan's master_seed sets it"),
+        ({"n_grid": (300, 200, 300)},
+         r"n_grid entries must be distinct, got \[300, 200, 300\] \(repeated: \[300\]\)"),
+        ({"n_grid": (200, 200.0)}, r"n_grid entries must be distinct.*\(repeated: \[200\]\)"),
+        ({"estimators": ("ratio", "unitroot", "ratio")},
+         r"estimators must be distinct.*\(repeated: \['ratio'\]\)"),
     ],
 )
 def test_plan_validation(overrides, match):
