@@ -138,7 +138,8 @@ class CriticalTable:
         rows = {d: self.values[i] for i, d in enumerate(self.dims)}
         rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
         dims = tuple(sorted(rows))
-        values = np.vstack([rows[d] for d in dims])
+        values = np.array([rows[d] for d in dims], dtype=float)
+        values = values.reshape(len(dims), len(self.levels))  # (0, levels) without dims
         return CriticalTable(dims=dims, levels=tuple(self.levels), values=values, meta=dict(self.meta))
 
     def to_dict(self) -> dict:
@@ -428,31 +429,45 @@ def bartlett_bandwidth(n: int) -> int:
     return int(np.floor(4.0 * (n / 100.0) ** (2.0 / 9.0)))
 
 
-def unit_root_stat(x, bandwidth: Optional[int] = None) -> float:
+def unit_root_stat(x, bandwidth: Optional[int] = None):
     """Serial-correlation-corrected normalized autoregression statistic.
 
     Large negative values reject the unit-root null; the null distribution
     is simulated by :func:`unit_root_critical_table`.  The statistic is
     exactly invariant to scaling the series by a positive constant.  This
-    is :func:`_unit_root_stats` on a single row, the one implementation of
-    the formula.
+    is :func:`_unit_root_stats` on the series, or on each column of a
+    panel, the one implementation of the formula; a column's statistic is
+    bitwise the one it gets alone.
 
     Parameters
     ----------
-    x : array_like, shape (n,)
-        Series to test, ``n >= 20``.
+    x : array_like, shape (n,) or (n, k)
+        Series to test, ``n >= 20``, or a panel whose ``k`` columns are
+        tested.
     bandwidth : int, optional
-        Bartlett kernel truncation; default :func:`bartlett_bandwidth`.
+        Bartlett kernel truncation, ``>= 0``; default
+        :func:`bartlett_bandwidth`.  Checked before the data.
+
+    Returns
+    -------
+    float, or ndarray of shape (k,) for a panel
 
     Raises
     ------
+    ValueError
+        Negative bandwidth.
     InvalidSeries
-        Fewer than 20 observations, or non-finite entries.
+        Fewer than 20 observations, non-finite entries, or more than two
+        dimensions.
     DegenerateComponent
-        Constant series.
+        A constant series (any column of a panel).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    return float(_unit_root_stats(x[None, :], bandwidth)[0])
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return _unit_root_stats(x.T, bandwidth)
+    if x.ndim > 2:
+        raise InvalidSeries(f"expected a series or an (n, k) panel, got ndim={x.ndim}")
+    return float(_unit_root_stats(x.reshape(1, -1), bandwidth)[0])
 
 
 def _check_unit_root_n(n: int) -> None:
@@ -471,6 +486,9 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     BLAS dot kernel.  A row's statistic is therefore bitwise the same
     whatever batch, or stride, it is scored in.
     """
+    q = None if bandwidth is None else int(bandwidth)
+    if q is not None and q < 0:
+        raise ValueError(f"bandwidth must be non-negative, got {q}")
     xs = np.ascontiguousarray(xs)
     n = xs.shape[1]
     _check_unit_root_n(n)
@@ -488,9 +506,8 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     if (ss_w == 0.0).any():
         raise DegenerateComponent("lagged series is constant")
 
-    q = bartlett_bandwidth(n) if bandwidth is None else int(bandwidth)
-    if q < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {q}")
+    if q is None:
+        q = bartlett_bandwidth(n)
     rho = np.vecdot(w, ynow) / ss_w
     resid = ynow_c - rho[:, None] * w
     gamma0 = np.vecdot(resid, resid) / t_eff
@@ -554,6 +571,12 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
     component whose unit-root null is NOT rejected.  The number of
     rejections is the estimated cointegration rank.
 
+    Every column is scored in one :func:`unit_root_stat` call.  If that
+    call raises (say, on a constant column), the columns are scored one at
+    a time in testing order instead, so a column past the stopping point
+    never raises, and the first column tested that cannot be scored raises
+    its error.
+
     Parameters
     ----------
     x_hat : array_like, shape (n, p)
@@ -569,9 +592,14 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
     """
     x = as_panel(x_hat)
     cv = crit.value(1, level)
+    try:
+        stats = unit_root_stat(x)
+    except (InvalidSeries, DegenerateComponent):
+        stats = None
     count = 0
     for idx in range(x.shape[1] - 1, -1, -1):
-        if unit_root_stat(x[:, idx]) < cv:
+        stat = unit_root_stat(x[:, idx]) if stats is None else stats[idx]
+        if stat < cv:
             count += 1
         else:
             break

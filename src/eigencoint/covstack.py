@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSeries, LagTooLarge
-from .linalg import symmetrize
+from .linalg import _symmetrize_stack
 
 #: Default max lag for the quadratic accumulation.  Small values suffice for
 #: integer-order integration; workflows targeting fractional orders should
@@ -46,7 +46,17 @@ def as_panel(data) -> np.ndarray:
     y = np.asarray(data, dtype=float)
     if y.ndim != 2:
         raise InvalidSeries(f"panel must be 2-D (time x series), got ndim={y.ndim}")
-    n, p = y.shape
+    return _as_panels(y)
+
+
+def _as_panels(data) -> np.ndarray:
+    """:func:`as_panel` for a panel ``(n, p)`` or a stack ``(m, n, p)`` of them."""
+    y = np.asarray(data, dtype=float)
+    if y.ndim not in (2, 3):
+        raise InvalidSeries(
+            f"expected a panel (n, p) or a stack of panels (m, n, p), got ndim={y.ndim}"
+        )
+    n, p = y.shape[-2:]
     if n < 2 or p < 1:
         raise InvalidSeries(f"panel needs n >= 2 and p >= 1, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -68,6 +78,9 @@ class LagCovStack:
         ``sum_j S_j S_j'``, symmetrized.
     mean : ndarray, shape (p,)
         The panel mean removed before lagging.
+
+    Built from a stack of ``m`` panels, every array carries a leading stack
+    axis: ``sigmas[j]`` and ``w`` are ``(m, p, p)``, ``mean`` is ``(m, p)``.
     """
 
     j0: int
@@ -77,18 +90,22 @@ class LagCovStack:
 
     @property
     def p(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-1]
 
 
 def build_stack(series, j0: int = DEFAULT_J0) -> LagCovStack:
     """Compute ``S_0 .. S_j0`` and ``W = sum_j S_j S_j'`` for a panel.
 
     ``W`` is symmetrized as ``(W + W') / 2`` after accumulation to remove
-    floating-point asymmetry before any eigenanalysis.
+    floating-point asymmetry before any eigenanalysis.  A stack of panels
+    goes through the same operations with one stacked product per lag, and
+    each panel's matrices are bitwise those it gets alone: a stacked matmul
+    makes the same BLAS call for each matrix.
 
     Parameters
     ----------
-    series : array_like, shape (n, p)
+    series : array_like, shape (n, p) or (m, n, p)
+        A panel, or a stack of ``m`` panels of one shape.
     j0 : int, default DEFAULT_J0
         Largest lag, ``0 <= j0 <= n - 2``.
 
@@ -96,21 +113,17 @@ def build_stack(series, j0: int = DEFAULT_J0) -> LagCovStack:
     -------
     LagCovStack
     """
-    y = as_panel(series)
-    n, p = y.shape
+    y = _as_panels(series)
+    n, p = y.shape[-2:]
     j0 = int(j0)
     if j0 < 0 or j0 >= n - 1:
         raise LagTooLarge(f"j0={j0} out of range for n={n} (need 0 <= j0 <= n-2)")
-    yc = y - y.mean(axis=0)
+    mean = y.mean(axis=-2)
+    yc = y - mean[..., None, :]
     sigmas = []
-    w = np.zeros((p, p))
+    w = np.zeros(y.shape[:-2] + (p, p))
     for j in range(j0 + 1):
-        s = (yc[j:].T @ yc[: n - j]) / n
+        s = (yc[..., j:, :].swapaxes(-1, -2) @ yc[..., : n - j, :]) / n
         sigmas.append(s)
-        w += s @ s.T
-    return LagCovStack(
-        j0=j0,
-        sigmas=tuple(sigmas),
-        w=symmetrize(w),
-        mean=y.mean(axis=0),
-    )
+        w += s @ s.swapaxes(-1, -2)
+    return LagCovStack(j0=j0, sigmas=tuple(sigmas), w=_symmetrize_stack(w), mean=mean)

@@ -16,7 +16,10 @@ scenario-major over the expanded scenario x n grid) draws its panel from the
 Reports are therefore bit-identical across runs, and any single number can
 be regenerated from ``(master_seed, ci, k)`` alone.  Every replicate runs in
 the calling process, in chunks of consecutive ``k`` (one
-:func:`~eigencoint.simgen.gen_panel` batch each); chunking changes no value.
+:func:`~eigencoint.simgen.gen_panel` batch each), and each chunk's panels
+are fitted in sub-batches (one stacked :func:`~eigencoint.ranksel.fit`
+each).  Neither chunking nor sub-batching changes any value: a panel's
+generation and fit are bitwise the same alone or in a batch.
 
 Estimator names: ``ratio``, ``ic_omega1``, ``ic_omega2``, ``ic_omega3``,
 ``johansen``, ``unitroot``, ``fractional_ratio``.
@@ -76,6 +79,12 @@ FAILURE_BUDGET = 0.05
 #: Innovation floats (``reps x p x n``) one chunk of replicates may hold:
 #: the replicates of a chunk are generated together, in one recursion.
 _CHUNK_FLOATS = 2**20
+
+#: Panel floats (``m x n x p``) one stacked fit may hold: a chunk's panels
+#: are fitted in sub-batches of this size.  The chunk's panels are alive
+#: while a sub-batch is fitted; at 2**16 and 2**17 the simulate benchmark's
+#: peak RSS rose from 71.4 to 74.3 MB in some processes, at 2**15 it did not.
+_FIT_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -292,46 +301,75 @@ def _estimate(plan, scenario, n, est, fitted, panel, tables):
     return r_est, split(fitted, r_est)[1]
 
 
+def _fit_each(panels, j0: int) -> list:
+    """``(fit, "")`` per panel from one stacked :func:`fit`; if that raises,
+    one fit per panel, with ``(None, error name)`` where a panel's fit fails."""
+    if not panels:
+        return []
+    try:
+        return [(fitted, "") for fitted in fit(np.stack([panel.y for panel in panels]), j0)]
+    except EigencointError:
+        pass
+    results = []
+    for panel in panels:
+        try:
+            results.append((fit(panel.y, j0), ""))
+        except EigencointError as exc:
+            results.append((None, type(exc).__name__))
+    return results
+
+
 def _run_chunk(plan, cell, tables, ks: range) -> list:
     """All estimator records for replicates ``ks`` of ``cell``, in order.
 
     ``cell`` is one ``(ci, scenario, n)`` entry of :meth:`ExperimentPlan.cells`.
     The chunk's panels are generated together; if that raises, each
     replicate regenerates its own panel, so an error lands on the replicate
-    that caused it.  A replicate whose panel or fit fails has every
-    estimator's record fail with that error.
+    that caused it.  The panels are then fitted in stacked sub-batches of
+    at most :data:`_FIT_FLOATS` floats, with the same fallback
+    (:func:`_fit_each`), and each sub-batch is estimated before the next
+    is fitted.  A replicate whose panel or fit fails has every estimator's
+    record fail with that error.
     """
     ci, scenario, n = cell
     specs = [
         replace(scenario, n=n, seed=_replicate_seed(plan.master_seed, ci, k))
         for k in ks
     ]
+    errors = [""] * len(specs)
     try:
         panels = gen_panel(specs)
     except EigencointError:
         panels = [None] * len(specs)
+        for i, spec in enumerate(specs):
+            try:
+                panels[i] = gen_panel(spec)
+            except EigencointError as exc:
+                errors[i] = type(exc).__name__
+    size = max(1, _FIT_FLOATS // (scenario.p * n))
     records = []
-    for k, spec, panel in zip(ks, specs, panels):
-        fit_error = ""
-        try:
-            if panel is None:
-                panel = gen_panel(spec)
-            fitted = fit(panel.y, plan.j0)
-        except EigencointError as exc:
-            fit_error = type(exc).__name__
-        for est in plan.estimators:
-            r_est = dist = None
-            error = fit_error
-            if not error:
-                try:
-                    r_est, a2 = _estimate(plan, scenario, n, est, fitted, panel, tables)
-                    dist = dist_d1(a2, panel.b2)
-                except EigencointError as exc:
-                    r_est, error = None, type(exc).__name__
-            records.append(ReplicateRecord(
-                scenario=scenario.name, p=scenario.p, r=scenario.r, n=n,
-                estimator=est, replicate=k, r_est=r_est, dist=dist, error=error,
-            ))
+    for lo in range(0, len(specs), size):
+        batch = range(lo, min(lo + size, len(specs)))
+        fits = iter(_fit_each([panels[i] for i in batch if not errors[i]], plan.j0))
+        for i in batch:
+            fitted, fit_error = (None, errors[i]) if errors[i] else next(fits)
+            panel = panels[i]
+            for est in plan.estimators:
+                r_est = dist = None
+                error = fit_error
+                if not error:
+                    try:
+                        r_est, a2 = _estimate(plan, scenario, n, est, fitted, panel, tables)
+                        dist = dist_d1(a2, panel.b2)
+                    except EigencointError as exc:
+                        r_est, error = None, type(exc).__name__
+                records.append(ReplicateRecord(
+                    scenario=scenario.name, p=scenario.p, r=scenario.r, n=n,
+                    estimator=est, replicate=ks[i], r_est=r_est, dist=dist, error=error,
+                ))
+        # The last fit is a view of its sub-batch's arrays: drop it before
+        # the next stacked fit, so that one sub-batch is held at a time.
+        fitted = None
     return records
 
 

@@ -30,6 +30,9 @@ class EigenSystem:
         Eigenvalues, ``values[0] >= values[1] >= ... >= values[p-1]``.
     vectors : ndarray, shape (p, p)
         Column ``k`` is the unit eigenvector paired with ``values[k]``.
+
+    :func:`eigh_desc` of a stack returns one system with a leading stack
+    axis, ``values`` of shape ``(m, p)`` and ``vectors`` ``(m, p, p)``.
     """
 
     values: np.ndarray
@@ -37,7 +40,7 @@ class EigenSystem:
 
     @property
     def p(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def symmetrize(m) -> np.ndarray:
@@ -49,11 +52,30 @@ def symmetrize(m) -> np.ndarray:
         If ``m`` is not square or contains non-finite entries.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
+        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
+    return _symmetrize_stack(a)
+
+
+def _symmetrize_stack(a: np.ndarray) -> np.ndarray:
+    """:func:`symmetrize` of each matrix of a float64 ``(..., p, p)`` stack."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix contains non-finite entries")
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
+
+
+def _take_columns(vectors: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Columns of each ``(p, p)`` matrix of ``vectors`` in ``order`` (``(..., p)``).
+
+    Each result matrix is laid out column-major, as a column permutation of
+    a single matrix by fancy indexing is, so that a product such as
+    ``y @ vectors`` goes through the same BLAS call, and rounds the same,
+    whether the matrix came alone or in a stack.
+    """
+    rows = vectors.swapaxes(-1, -2)
+    return np.take_along_axis(rows, order[..., None], axis=-2).swapaxes(-1, -2)
 
 
 def eigh_desc(m) -> EigenSystem:
@@ -64,31 +86,35 @@ def eigh_desc(m) -> EigenSystem:
     eigenvector is signed so that its largest-magnitude entry is positive,
     which makes the output reproducible.
 
+    A stack of matrices is decomposed in one LAPACK call per matrix, and
+    each matrix's result is bitwise the one it gets alone.
+
     Parameters
     ----------
-    m : array_like, shape (p, p)
-        Symmetric matrix with finite entries.
+    m : array_like, shape (p, p) or (m, p, p)
+        Symmetric matrix, or a stack of them, with finite entries.
 
     Returns
     -------
     EigenSystem
+        With a leading stack axis on ``values`` and ``vectors`` for a stack.
 
     Raises
     ------
     InvalidMatrix
         Non-square, empty or non-finite input.
     """
-    a = symmetrize(m)
-    if a.shape[0] == 0:
+    a = _symmetrize_stack(np.asarray(m, dtype=float))
+    if a.shape[-1] == 0:
         raise InvalidMatrix("empty matrix")
     values, vectors = np.linalg.eigh(a)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = _take_columns(vectors, order)
     # Sign convention: largest-magnitude entry of each column positive.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flip] = -vectors[:, flip]
+    lead = np.argmax(np.abs(vectors), axis=-2)
+    flip = np.take_along_axis(vectors, lead[..., None, :], axis=-2) < 0.0
+    np.negative(vectors, out=vectors, where=flip)
     return EigenSystem(values=values, vectors=vectors)
 
 

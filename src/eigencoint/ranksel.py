@@ -28,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .covstack import DEFAULT_J0, LagCovStack, as_panel, build_stack
+from .covstack import DEFAULT_J0, LagCovStack, _as_panels, build_stack
 from .errors import DegenerateSpectrum, InvalidRank
-from .linalg import EigenSystem, eigh_desc
+from .linalg import EigenSystem, _take_columns, eigh_desc
 
 PENALTY_VARIANTS = ("omega1", "omega2", "omega3", "custom")
 
@@ -81,6 +81,10 @@ class CointFit:
         The lag covariances and ``W`` the fit was computed from.
     n : int
         Sample size of the panel.
+
+    A stacked :func:`fit` returns one ``CointFit`` per panel, shaped as
+    above, without a stack axis; its arrays are views into the stacked
+    results, so the fits of one stack keep all of them alive together.
     """
 
     eigen: EigenSystem
@@ -93,35 +97,53 @@ class CointFit:
         return self.eigen.p
 
 
-def fit(series, j0: int = DEFAULT_J0) -> CointFit:
+def fit(series, j0: int = DEFAULT_J0):
     """Eigenanalyze a panel: build ``W``, decompose, transform.
+
+    A stack of panels is fitted with one stacked :func:`build_stack`, one
+    stacked :func:`eigh_desc` and one stacked ``y @ A_hat``; each panel's
+    fit is bitwise the one it gets alone.
 
     Parameters
     ----------
-    series : array_like, shape (n, p)
-        Observation panel, rows are time points.
+    series : array_like, shape (n, p) or (m, n, p)
+        Observation panel, rows are time points, or a stack of ``m`` panels
+        of one shape.
     j0 : int, default DEFAULT_J0
         Largest lag entering ``W``.
 
     Returns
     -------
-    CointFit
+    CointFit, or a list of ``m`` CointFit for a stack
         Apply :func:`rank_ratio` / :func:`rank_ic` to choose ranks.
     """
-    y = as_panel(series)
+    y = _as_panels(series)
     stack = build_stack(y, j0)
     raw = eigh_desc(stack.w)
     # PSD reading of the spectrum: magnitudes, re-sorted descending, with
     # eigenvectors carried along.  See the module docstring.
     mags = np.abs(raw.values)
-    order = np.argsort(-mags, kind="stable")
-    eigen = EigenSystem(values=mags[order], vectors=raw.vectors[:, order])
-    return CointFit(
-        eigen=eigen,
-        x_hat=y @ eigen.vectors,
-        stack=stack,
-        n=y.shape[0],
-    )
+    order = np.argsort(-mags, axis=-1, kind="stable")
+    values = np.take_along_axis(mags, order, axis=-1)
+    vectors = _take_columns(raw.vectors, order)
+    x_hat = y @ vectors
+    n = y.shape[-2]
+    if y.ndim == 2:
+        return CointFit(eigen=EigenSystem(values, vectors), x_hat=x_hat, stack=stack, n=n)
+    return [
+        CointFit(
+            eigen=EigenSystem(values[k], vectors[k]),
+            x_hat=x_hat[k],
+            stack=LagCovStack(
+                j0=stack.j0,
+                sigmas=tuple(s[k] for s in stack.sigmas),
+                w=stack.w[k],
+                mean=stack.mean[k],
+            ),
+            n=n,
+        )
+        for k in range(len(y))
+    ]
 
 
 def _validate_spectrum(eigen: EigenSystem) -> np.ndarray:

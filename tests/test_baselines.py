@@ -86,6 +86,18 @@ def test_merged_rejects_incompatible_tables():
         base.merged(other_meta)
 
 
+def test_merged_tables_without_dims_is_empty():
+    empty = trace_critical_table(dims=(), T=100, reps=1000)
+    merged = empty.merged(empty)
+    assert merged.dims == ()
+    assert merged.values.shape == (0, 1)
+    one = CriticalTable(dims=(2,), levels=empty.levels, values=np.array([[15.0]]),
+                        meta=empty.meta)
+    both = empty.merged(one)
+    assert both.dims == (2,)
+    assert_array_equal(both.values, [[15.0]])
+
+
 def test_table_json_round_trip():
     table = hand_table((1, 2), [[3.0, 2.5], [11.0, 10.0]], levels=(0.05, 0.10))
     again = CriticalTable.from_dict(json.loads(json.dumps(table.to_dict())))
@@ -441,6 +453,16 @@ def test_unit_root_stat_rejects_negative_bandwidth():
         unit_root_stat(x, bandwidth=-1)
 
 
+@pytest.mark.parametrize(
+    "x", [np.full(30, 2.5), np.arange(10.0), np.full((30, 2), 2.5)],
+    ids=["constant", "short", "constant-panel"],
+)
+def test_unit_root_stat_checks_bandwidth_before_the_data(x):
+    # The bad argument is reported, not the data's own problem.
+    with pytest.raises(ValueError, match="bandwidth must be non-negative"):
+        unit_root_stat(x, bandwidth=-1)
+
+
 def test_zero_bandwidth_is_uncorrected_statistic():
     x = np.cumsum(derive_stream(53).standard_normal(100))
     ylag, ynow = x[:-1], x[1:]
@@ -541,6 +563,28 @@ def test_non_contiguous_batch_scores_like_its_rows():
     )
 
 
+@pytest.mark.parametrize("bandwidth", [None, 0, 3])
+def test_unit_root_stat_of_panel_is_its_column_statistics(bandwidth):
+    rng = derive_stream(57)
+    k = 4
+    # Every other row of a wider array: neither the panel nor a column is
+    # contiguous.
+    wide = np.cumsum(rng.standard_normal((600, 2 * k)), axis=0)
+    wide[:, 1::2] = rng.standard_normal((600, k))
+    panel = wide[::2, 1:]
+    assert not panel.flags.c_contiguous and not panel.flags.f_contiguous
+    stats = unit_root_stat(panel, bandwidth)
+    assert stats.shape == (panel.shape[1],)
+    for j in range(panel.shape[1]):
+        assert stats[j] == unit_root_stat(panel[:, j], bandwidth)
+        assert stats[j] == reference_unit_root_stat(np.ascontiguousarray(panel[:, j]), bandwidth)
+
+
+def test_unit_root_stat_rejects_three_dimensional_input():
+    with pytest.raises(InvalidSeries, match="ndim=3"):
+        unit_root_stat(np.zeros((2, 30, 2)))
+
+
 def test_unit_root_table_rejects_short_series():
     with pytest.raises(InvalidSeries, match="at least 20"):
         unit_root_critical_table(19, reps=1000)
@@ -595,13 +639,13 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
 def test_unit_root_stat_calls_stay_on_the_traced_path(monkeypatch):
     # bench/trace.py times calls through the module global unit_root_stat
     # on one span stack that is not thread-local: sequential_unit_root must
-    # go through it once per tested column, and the table's worker thread
-    # must never reach it.
+    # go through it once, with the whole panel, and the table's worker
+    # thread must never reach it.
     calls = []
     stat = baselines.unit_root_stat
 
     def counted(x, bandwidth=None):
-        calls.append(len(x))
+        calls.append(np.shape(x))
         return stat(x, bandwidth)
 
     monkeypatch.setattr(baselines, "unit_root_stat", counted)
@@ -609,7 +653,7 @@ def test_unit_root_stat_calls_stay_on_the_traced_path(monkeypatch):
     assert calls == []
     noise = derive_stream(64).standard_normal((300, 3))
     assert sequential_unit_root(noise, 0.05, table) == 3
-    assert calls == [300, 300, 300]
+    assert calls == [(300, 3)]
 
 
 def test_sequential_rank_full_on_noise_panel(ur_table):
@@ -644,6 +688,29 @@ def test_sequential_rank_stops_at_first_non_rejection(ur_table):
     # the last column rejects, the middle (a walk) does not; the stationary
     # first column is never reached
     assert sequential_unit_root(x, 0.05, ur_table) == 1
+
+
+def test_sequential_rank_ignores_constant_column_past_stopping_point(ur_table):
+    # The walk stops the testing before the constant first column, which
+    # fails the one whole-panel call; the column-at-a-time fallback gives
+    # the rank that testing column by column always gave.
+    rng = derive_stream(65)
+    x = np.column_stack([
+        np.full(1000, 1.0),
+        np.cumsum(rng.standard_normal(1000)),
+        rng.standard_normal(1000),
+    ])
+    with pytest.raises(DegenerateComponent):
+        unit_root_stat(x)
+    assert sequential_unit_root(x, 0.05, ur_table) == 1
+
+
+def test_sequential_rank_raises_on_constant_column_it_tests(ur_table):
+    rng = derive_stream(66)
+    x = np.column_stack([np.cumsum(rng.standard_normal(1000)), np.full(1000, 1.0),
+                         rng.standard_normal(1000)])
+    with pytest.raises(DegenerateComponent, match="series is constant"):
+        sequential_unit_root(x, 0.05, ur_table)
 
 
 def test_sequential_rank_rejects_constant_column(ur_table):

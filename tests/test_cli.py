@@ -671,15 +671,25 @@ def test_analyze_report_keys_are_pinned(tmp_path):
     }
 
 
-def test_bench_trace_layer_targets_resolve():
-    # A traced benchmark run exits early when a wrapped target is missing.
-    import importlib
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name, monkeypatch):
+    """Import ``bench/<name>.py`` as a module (its dataclasses look it up)."""
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
-    spec = importlib.util.spec_from_file_location("bench_trace", path)
-    trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_trace_layer_targets_resolve(monkeypatch):
+    # A traced benchmark run exits early when a wrapped target is missing.
+    import importlib
+
+    trace = load_bench("trace", monkeypatch)
     targets = [t for group in trace.LAYERS.values() for t in group]
     assert targets
     for target in targets:
@@ -688,19 +698,47 @@ def test_bench_trace_layer_targets_resolve():
         assert callable(getattr(module, attr, None)), target
 
 
+def test_bench_expected_layers_are_called(tmp_path, monkeypatch):
+    # A traced benchmark run fails when an expected layer records no call,
+    # say when a caller stops going through the module global that
+    # bench/trace.py wraps.  This runs every workload scaled down, in this
+    # process, under the same wrappers.
+    import importlib
+
+    trace = load_bench("trace", monkeypatch)
+    bench = load_bench("run", monkeypatch)
+    recorder = trace.SpanRecorder()
+    for layer, targets in trace.LAYERS.items():
+        for target in targets:
+            module_name, attr = target.rsplit(".", 1)
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, recorder.wrap(layer, getattr(module, attr)))
+    monkeypatch.chdir(BENCH.parent)  # the benchmark's paths are relative to the checkout
+    assert bench.WORKLOADS
+    for name, workload_cls in bench.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        workload = workload_cls(0, str(work))
+        if isinstance(workload, bench.Simulate):
+            plan = work / "plan.json"
+            plan.write_text(json.dumps(dict(workload.plan(), reps=2, crit_T=100,
+                                            crit_reps=1000, ur_reps=1000)))
+            argv = ["simulate", "--plan", str(plan), "--out", str(work / "report.csv")]
+        else:
+            argv = workload.args(str(work))
+        recorder.spans.clear()
+        assert main(argv) == 0, name
+        called = {span[0] for span in recorder.spans}
+        assert [layer for layer in workload.expected_layers if layer not in called] == [], name
+
+
 def test_bench_simulate_workloads_build_one_plan(tmp_path, monkeypatch):
     # The benchmark runs each simulate workload from CLI flags and its pool
     # probe from a plan document; both must give the same plan.
-    import importlib.util
-
     import eigencoint.cli as cli
     from eigencoint.harness import load_plan
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-    spec = importlib.util.spec_from_file_location("bench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
-    spec.loader.exec_module(bench)
+    bench = load_bench("run", monkeypatch)
 
     class Built(Exception):
         pass

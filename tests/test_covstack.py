@@ -174,3 +174,25 @@ def test_build_stack_j0_too_large():
         build_stack(y, 9)
     with pytest.raises(LagTooLarge):
         build_stack(y, -1)
+
+
+def test_stacked_build_stack_matches_each_panel_bitwise():
+    rng = np.random.default_rng(19)
+    ys = np.cumsum(rng.standard_normal((3, 60, 4)), axis=1)
+    stacked = build_stack(ys, 3)
+    assert stacked.p == 4
+    assert stacked.w.shape == (3, 4, 4) and stacked.mean.shape == (3, 4)
+    for k, y in enumerate(ys):
+        alone = build_stack(y, 3)
+        for s_stacked, s_alone in zip(stacked.sigmas, alone.sigmas):
+            assert_array_equal(s_stacked[k], s_alone, strict=True)
+        assert_array_equal(stacked.w[k], alone.w, strict=True)
+        assert_array_equal(stacked.mean[k], alone.mean, strict=True)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 2, 5, 3)], ids=["1-D", "4-D"])
+def test_build_stack_rejects_other_ranks(shape):
+    with pytest.raises(InvalidSeries, match="ndim"):
+        build_stack(np.zeros(shape), 1)
+    with pytest.raises(InvalidSeries, match="ndim"):
+        as_panel(np.zeros((2, 5, 3)))

@@ -354,6 +354,46 @@ def test_report_independent_of_chunk_budget(monkeypatch, budget):
     assert emit_replicates(chunked) == emit_replicates(default)
 
 
+@pytest.mark.parametrize(
+    "budget", [1, 3 * 4 * 200, 2**62], ids=["single", "uneven", "whole-chunk"]
+)
+def test_report_independent_of_fit_budget(monkeypatch, budget):
+    plan = small_plan(reps=7, n_grid=(150, 200), estimators=("ratio", "ic_omega2", "unitroot"),
+                      ur_reps=1000)
+    default = run_plan(plan)
+    monkeypatch.setattr(harness, "_FIT_FLOATS", budget)
+    batched = run_plan(plan)
+    assert emit_report(batched) == emit_report(default)
+    assert emit_replicates(batched) == emit_replicates(default)
+
+
+def test_non_finite_panel_fails_only_its_own_records(monkeypatch):
+    # Replicate 4 sits in the middle of the sub-batch (3, 4, 5): the
+    # stacked fit raises, and the per-panel fallback fails only its fit.
+    plan = small_plan(reps=20, estimators=("ratio", "unitroot"), ur_reps=1000)
+    monkeypatch.setattr(harness, "_FIT_FLOATS", 3 * 4 * 200)
+    clean = run_plan(plan).replicates
+    bad_seed = replicate_seed(plan.master_seed, 0, 4)
+    generate = harness.gen_panel
+
+    def corrupting(specs):
+        panels = generate(specs)
+        for spec, panel in zip(specs, panels):
+            if spec.seed == bad_seed:
+                panel.y[10, 0] = np.nan
+        return panels
+
+    monkeypatch.setattr(harness, "gen_panel", corrupting)
+    patched = run_plan(plan)
+    assert len(patched.replicates) == len(clean)
+    for before, after in zip(clean, patched.replicates):
+        if after.replicate == 4:
+            assert (after.r_est, after.dist, after.error) == (None, None, "InvalidSeries")
+        else:
+            assert after == before
+    assert all(c.failures == 1 for c in patched.cells)
+
+
 def test_all_estimators_run_in_one_plan():
     plan = small_plan(
         scenarios=(small_template(p=2, r=1),),

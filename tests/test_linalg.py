@@ -148,6 +148,28 @@ class TestEigenInvariants:
         assert_array_equal(m, before)
 
 
+def test_stacked_eigh_matches_each_matrix_alone_bitwise():
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((5, 7, 7)) * 10.0 ** rng.uniform(-2, 12, (5, 1, 1))
+    stack = base @ base.swapaxes(-1, -2)
+    res = eigh_desc(stack)
+    assert res.values.shape == (5, 7) and res.vectors.shape == (5, 7, 7)
+    assert res.p == 7
+    for k in range(5):
+        alone = eigh_desc(stack[k])
+        assert_array_equal(res.values[k], alone.values, strict=True)
+        assert_array_equal(res.vectors[k], alone.vectors, strict=True)
+        # the same memory layout, so products with it round the same
+        assert res.vectors[k].strides == alone.vectors.strides
+
+
+def test_stacked_eigh_rejects_non_finite_member():
+    stack = np.stack([np.eye(3), np.eye(3)])
+    stack[1, 0, 0] = np.inf
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        eigh_desc(stack)
+
+
 def test_eigensystem_p_property():
     sys = EigenSystem(values=np.array([2.0, 1.0]), vectors=np.eye(2))
     assert sys.p == 2

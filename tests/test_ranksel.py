@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from eigencoint.errors import DegenerateSpectrum, InvalidRank
+from eigencoint.errors import DegenerateSpectrum, InvalidRank, InvalidSeries
 from eigencoint.linalg import EigenSystem
 from eigencoint.ranksel import (
     PenaltySpec,
@@ -76,6 +76,55 @@ def test_fit_deterministic():
     assert_array_equal(f1.eigen.values, f2.eigen.values)
     assert_array_equal(f1.eigen.vectors, f2.eigen.vectors)
     assert_array_equal(f1.x_hat, f2.x_hat)
+
+
+def assert_fits_equal(got, want):
+    assert got.n == want.n and got.p == want.p
+    assert_array_equal(got.eigen.values, want.eigen.values, strict=True)
+    assert_array_equal(got.eigen.vectors, want.eigen.vectors, strict=True)
+    assert_array_equal(got.x_hat, want.x_hat, strict=True)
+    assert got.stack.j0 == want.stack.j0
+    assert len(got.stack.sigmas) == len(want.stack.sigmas)
+    for s_got, s_want in zip(got.stack.sigmas, want.stack.sigmas):
+        assert_array_equal(s_got, s_want, strict=True)
+    assert_array_equal(got.stack.w, want.stack.w, strict=True)
+    assert_array_equal(got.stack.mean, want.stack.mean, strict=True)
+
+
+def i2_panels(m, n, p, seed):
+    """``m`` panels of two cumulative sums of noise, mixed: an I(2) design."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(np.cumsum(rng.standard_normal((m, n, p)), axis=1), axis=1)
+    x[:, :, p // 2:] = rng.standard_normal((m, n, p - p // 2))
+    return x @ rng.uniform(-3.0, 3.0, (p, p)).T
+
+
+@pytest.mark.parametrize(
+    "m, n, p, j0, splits",
+    [
+        (1, 300, 6, 5, [(0, 1)]),
+        (7, 300, 6, 5, [(0, 3), (3, 7), (0, 7)]),
+        (4, 200, 1, 5, [(0, 4)]),
+        (5, 120, 4, 0, [(0, 2), (2, 5)]),
+        (2, 2500, 20, 5, [(0, 2)]),
+    ],
+    ids=["m1", "uneven", "p1", "j0-0", "p20-n2500"],
+)
+def test_stacked_fit_matches_each_panel_alone_bitwise(m, n, p, j0, splits):
+    ys = i2_panels(m, n, p, seed=31 + m + p)
+    alone = [fit(y, j0) for y in ys]
+    for lo, hi in splits:
+        stacked = fit(ys[lo:hi], j0)
+        assert isinstance(stacked, list) and len(stacked) == hi - lo
+        for got, want in zip(stacked, alone[lo:hi]):
+            assert_fits_equal(got, want)
+
+
+def test_stacked_fit_rejects_a_stack_with_a_non_finite_panel():
+    ys = i2_panels(3, 100, 3, seed=37)
+    ys[1, 5, 0] = np.nan
+    with pytest.raises(InvalidSeries, match="non-finite"):
+        fit(ys, 3)
 
 
 # ---------------------------------------------------------------------------
