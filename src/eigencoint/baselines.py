@@ -475,7 +475,9 @@ def _check_unit_root_n(n: int) -> None:
         raise InvalidSeries(f"need at least {_UNIT_ROOT_MIN_N} observations, got {n}")
 
 
-def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
+def _unit_root_stats(
+    xs: np.ndarray, bandwidth: Optional[int] = None, work: Optional[np.ndarray] = None
+) -> np.ndarray:
     """:func:`unit_root_stat` of every row of ``xs``, shape ``(m, n)``.
 
     The whole batch goes through each step: the checks, the demeaning, the
@@ -485,6 +487,11 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     C-contiguous first, because a strided row would go through a different
     BLAS dot kernel.  A row's statistic is therefore bitwise the same
     whatever batch, or stride, it is scored in.
+
+    ``work``, if given, holds three C-contiguous ``(m, n - 1)`` arrays, a
+    workspace that the demeaned lagged series ``w``, the demeaned current
+    series and the residuals are written into (the same ufuncs, through
+    ``out=``) instead of fresh arrays.
     """
     q = None if bandwidth is None else int(bandwidth)
     if q is not None and q < 0:
@@ -499,9 +506,10 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     ylag = xs[:, :-1]
     ynow = xs[:, 1:]
     t_eff = n - 1
+    w, ynow_c, resid = (None, None, None) if work is None else work
     # sum / count is what ndarray.mean computes, without its Python wrapper
-    w = ylag - ylag.sum(axis=1, keepdims=True) / t_eff
-    ynow_c = ynow - ynow.sum(axis=1, keepdims=True) / t_eff
+    w = np.subtract(ylag, ylag.sum(axis=1, keepdims=True) / t_eff, out=w)
+    ynow_c = np.subtract(ynow, ynow.sum(axis=1, keepdims=True) / t_eff, out=ynow_c)
     ss_w = np.vecdot(w, w)
     if (ss_w == 0.0).any():
         raise DegenerateComponent("lagged series is constant")
@@ -509,7 +517,8 @@ def _unit_root_stats(xs: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     if q is None:
         q = bartlett_bandwidth(n)
     rho = np.vecdot(w, ynow) / ss_w
-    resid = ynow_c - rho[:, None] * w
+    resid = np.multiply(rho[:, None], w, out=resid)
+    resid = np.subtract(ynow_c, resid, out=resid)
     gamma0 = np.vecdot(resid, resid) / t_eff
     lam2 = gamma0
     for j in range(1, min(q, t_eff - 1) + 1):
@@ -550,15 +559,31 @@ def _unit_root_stat_sample(dims, n: int, reps: int, seed: int) -> np.ndarray:
     Each walk's arithmetic does not depend on its chunk, so the sample is
     bitwise that of a per-walk loop, whatever the chunk size or the thread
     timing.
+
+    Every buffer is allocated before the first draw: two ``(m, n)`` slots
+    that the chunks are drawn into in turn (``standard_normal(out=...)``
+    gives the bits of ``standard_normal((k, n))``), one for the walks and
+    the scorer's workspace.  Two slots suffice because
+    :func:`_draw_and_score` waits for chunk ``k``'s score before it draws
+    chunk ``k + 2``.
     """
     (dim,) = dims
     rng = derive_stream(seed, dim)
     sample = np.empty((1, reps))
+    m = min(reps, _chunk_reps(n))
+    slots = cycle(np.empty((2, m, n)))
+    walks = np.empty((m, n))
+    work = np.empty((3, m, n - 1))
+
+    def draw(k: int) -> np.ndarray:
+        return rng.standard_normal(out=next(slots)[:k])
 
     def score(steps: np.ndarray, start: int) -> None:
-        sample[0, start:start + len(steps)] = _unit_root_stats(np.cumsum(steps, axis=1))
+        k = len(steps)
+        xs = np.cumsum(steps, axis=1, out=walks[:k])
+        sample[0, start:start + k] = _unit_root_stats(xs, work=work[:, :k])
 
-    _draw_and_score(reps, n, lambda m: rng.standard_normal((m, n)), score)
+    _draw_and_score(reps, n, draw, score)
     return sample
 
 

@@ -329,7 +329,10 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
     at most :data:`_FIT_FLOATS` floats, with the same fallback
     (:func:`_fit_each`), and each sub-batch is estimated before the next
     is fitted.  A replicate whose panel or fit fails has every estimator's
-    record fail with that error.
+    record fail with that error.  The fit-based estimators (all but
+    ``johansen``) estimate the basis ``split(fitted, r_est)[1]``, so those
+    that choose the same ``r_est`` on a replicate share one
+    :func:`~eigencoint.subspace.dist_d1` call, its value or its error.
     """
     ci, scenario, n = cell
     specs = [
@@ -354,15 +357,26 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
         for i in batch:
             fitted, fit_error = (None, errors[i]) if errors[i] else next(fits)
             panel = panels[i]
+            distances = {}  # basis key -> (dist, error)
             for est in plan.estimators:
                 r_est = dist = None
                 error = fit_error
                 if not error:
                     try:
                         r_est, a2 = _estimate(plan, scenario, n, est, fitted, panel, tables)
-                        dist = dist_d1(a2, panel.b2)
                     except EigencointError as exc:
-                        r_est, error = None, type(exc).__name__
+                        error = type(exc).__name__
+                    else:
+                        # A fit-based basis is named by its rank alone.
+                        key = est if est == "johansen" else r_est
+                        if key not in distances:
+                            try:
+                                distances[key] = dist_d1(a2, panel.b2), ""
+                            except EigencointError as exc:
+                                distances[key] = None, type(exc).__name__
+                        dist, error = distances[key]
+                        if error:
+                            r_est = None
                 records.append(ReplicateRecord(
                     scenario=scenario.name, p=scenario.p, r=scenario.r, n=n,
                     estimator=est, replicate=ks[i], r_est=r_est, dist=dist, error=error,

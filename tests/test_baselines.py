@@ -622,11 +622,11 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
     score = baselines._unit_root_stats
     chunks = []
 
-    def failing_third(xs):
+    def failing_third(xs, work=None):
         chunks.append(len(xs))
         if len(chunks) == 3:
             raise DegenerateComponent("third chunk")
-        return score(xs)
+        return score(xs, work=work)
 
     monkeypatch.setattr(baselines, "_unit_root_stats", failing_third)
     threads = threading.active_count()
@@ -634,6 +634,26 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
         unit_root_critical_table(300, reps=4000)
     assert len(chunks) == 3
     assert threading.active_count() == threads
+
+
+def test_unit_root_tables_back_to_back_match_the_loop_bitwise():
+    # The sampler's slots, walks and workspace are allocated per table: a
+    # table built after a longer or a shorter one is the one it gets alone,
+    # also in its short last chunk (1001 walks), and a unit_root_stat call
+    # between tables scores as the scalar formula does.
+    levels = (0.01, 0.05, 0.1, 0.5)
+    panel = np.cumsum(derive_stream(58).standard_normal((400, 3)), axis=0)
+    for n in (300, 1000, 300):
+        assert 1001 % (baselines._CHUNK_FLOATS // n) != 0
+        table = unit_root_critical_table(n, levels=levels, reps=1001, seed=8)
+        rng = derive_stream(8, 1)
+        sample = [reference_unit_root_stat(np.cumsum(rng.standard_normal(n)))
+                  for _ in range(1001)]
+        assert_array_equal(table.values[0], np.quantile(sample, levels))
+        assert_array_equal(
+            unit_root_stat(panel),
+            [reference_unit_root_stat(np.ascontiguousarray(col)) for col in panel.T],
+        )
 
 
 def test_unit_root_stat_calls_stay_on_the_traced_path(monkeypatch):

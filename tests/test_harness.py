@@ -6,7 +6,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from eigencoint import harness
-from eigencoint.errors import DegenerateComponent, ExperimentFailure, SingularMixing
+from eigencoint.errors import (
+    DegenerateComponent,
+    ExperimentFailure,
+    SingularBasis,
+    SingularMixing,
+)
 from eigencoint.harness import (
     ESTIMATORS,
     PRESET_CELLS,
@@ -392,6 +397,84 @@ def test_non_finite_panel_fails_only_its_own_records(monkeypatch):
         else:
             assert after == before
     assert all(c.failures == 1 for c in patched.cells)
+
+
+FIT_BASED_AND_JOHANSEN = ("ratio", "ic_omega1", "ic_omega2", "unitroot", "johansen")
+
+
+def shared_distance_plan():
+    # At p=5, n=200 the fit-based estimators disagree on most replicates,
+    # and johansen's rank sometimes equals theirs.  With 20 replicates one
+    # failed record per cell stays within the failure budget.
+    return small_plan(
+        scenarios=(small_template(p=5, r=2),), reps=20, estimators=FIT_BASED_AND_JOHANSEN,
+        crit_T=100, crit_reps=1000, ur_reps=1000,
+    )
+
+
+def replicate_panels(plan):
+    scenario, n = plan.scenarios[0], plan.n_grid[0]
+    return [
+        gen_panel(replace(scenario, n=n, seed=replicate_seed(plan.master_seed, 0, k)))
+        for k in range(plan.reps)
+    ]
+
+
+def test_fit_based_estimators_share_one_distance_per_rank(monkeypatch):
+    plan = shared_distance_plan()
+    panels = replicate_panels(plan)
+    calls = []
+    distance = harness.dist_d1
+
+    def counted(a2, b2):
+        calls.append(next(k for k, panel in enumerate(panels) if np.array_equal(panel.b2, b2)))
+        return distance(a2, b2)
+
+    monkeypatch.setattr(harness, "dist_d1", counted)
+    report = run_plan(plan)
+    assert len(report.replicates) == plan.reps * len(FIT_BASED_AND_JOHANSEN)
+    distinct = []
+    for k, panel in enumerate(panels):
+        records = {rec.estimator: rec for rec in report.replicates if rec.replicate == k}
+        fitted = fit(panel.y, plan.j0)
+        for est, rec in records.items():
+            r_est, a2 = _direct_estimate(plan, plan.scenarios[0], plan.n_grid[0], est, panel,
+                                         fitted)
+            assert (rec.r_est, rec.dist, rec.error) == (r_est, dist_d1(a2, panel.b2), "")
+        distinct.append(len({rec.r_est for est, rec in records.items() if est != "johansen"}))
+        assert calls.count(k) == distinct[k] + 1
+    assert len(calls) < len(report.replicates)
+    assert max(distinct) > 1
+
+
+def test_shared_distance_error_fails_every_fit_based_record(monkeypatch):
+    plan = shared_distance_plan()
+    clean = run_plan(plan).replicates
+    bad = replicate_panels(plan)[5]
+    vectors = fit(bad.y, plan.j0).eigen.vectors
+    distance = harness.dist_d1
+    raised = []
+
+    def failing(a2, b2):
+        # Only the fit-based bases (trailing eigenvectors) of replicate 5
+        # raise; its johansen basis is scored as usual.
+        width = np.shape(a2)[1]
+        if np.array_equal(b2, bad.b2) and np.array_equal(a2, vectors[:, vectors.shape[1] - width:]):
+            raised.append(width)
+            raise SingularBasis("forced")
+        return distance(a2, b2)
+
+    monkeypatch.setattr(harness, "dist_d1", failing)
+    patched = run_plan(plan).replicates
+    assert len(patched) == len(clean)
+    fit_based = [b for b in clean if b.replicate == 5 and b.estimator != "johansen"]
+    # One raise per distinct rank (here 2, 3 and 4), shared by its records.
+    assert sorted(raised) == sorted({b.r_est for b in fit_based}) == [2, 3, 4]
+    for before, after in zip(clean, patched):
+        if before in fit_based:
+            assert after == replace(before, r_est=None, dist=None, error="SingularBasis")
+        else:
+            assert after == before
 
 
 def test_all_estimators_run_in_one_plan():

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import eigencoint
 from eigencoint.errors import DegenerateSpectrum, InvalidRank, InvalidSeries
 from eigencoint.linalg import EigenSystem
 from eigencoint.ranksel import (
@@ -409,3 +414,56 @@ def test_rank_rules_invariant_to_column_permutation():
         for rule in base:
             flipped[rule] = flipped.get(rule, 0) + (base[rule] != permuted[rule])
     assert flipped == dict.fromkeys(flipped, 0)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+
+
+def _numpy_blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+_FIT_DIGEST = """
+import hashlib
+from dataclasses import replace
+
+from eigencoint.harness import _replicate_seed, preset_template
+from eigencoint.ranksel import fit
+from eigencoint.simgen import gen_panel
+
+spec = replace(preset_template("example1", 28, 7), n=2500, seed=_replicate_seed(0, 0, 0))
+fitted = fit(gen_panel(spec).y, 5)
+digest = hashlib.sha256()
+for array in (fitted.stack.w, fitted.eigen.values, fitted.eigen.vectors, fitted.x_hat):
+    digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif("openblas" not in _numpy_blas_name().lower(),
+                    reason="NumPy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="fewer than 2 usable CPUs")
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 10: OpenBLAS threads the (p x n) @ (n x p) lag products "
+        "from about p=28 up, and its threaded kernel rounds differently"
+    ),
+)
+def test_fit_does_not_depend_on_blas_thread_count():
+    # One example1 (28, 7) panel at n=2500, fitted in two child processes
+    # that differ only in the OpenBLAS thread count.
+    src = str(Path(eigencoint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _FIT_DIGEST],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1]
