@@ -22,8 +22,9 @@ Conventions
   specs therefore produce bit-identical panels, and distinct replicates may
   run in parallel on independent streams.
 * :func:`gen_panel` also takes a batch of specs that differ only in seed
-  and filters every latent column of the batch in one recursion; each
-  panel is bit-identical to generating its spec alone.
+  and filters every latent column of the batch in one recursion, in place
+  in one ``(n, reps, p)`` array; each panel is bit-identical to generating
+  its spec alone.
 * A :class:`ScenarioSpec` whose ``n`` is left open describes a design, not
   a panel: the scenarios of an experiment plan are such specs, and each
   replicate closes one with ``dataclasses.replace(spec, n=..., seed=...)``.
@@ -110,7 +111,7 @@ def _check_stationary_ar(ar: np.ndarray) -> None:
         raise NonstationaryAR(f"AR coefficients {tuple(ar)} are not stationary")
 
 
-def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
+def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     """Simulate a truncated ARIMA(len(ar), d, len(ma)) path of length ``n``.
 
     The stationary ARMA core follows the recursion
@@ -134,7 +135,8 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
     d : int
         Non-negative integration order.
     rng : numpy.random.Generator
-        Innovation stream; consumes exactly ``n`` standard normals.
+        Innovation stream, required (keyword only); consumes exactly ``n``
+        standard normals.
 
     Raises
     ------
@@ -160,28 +162,35 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), rng=None) -> np.ndarray:
 
 
 def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Filter each column of ``eps`` through its own ARMA polynomials.
+    """Filter each column of ``eps`` in place through its own ARMA polynomials.
 
     A time-major direct-form-II-transposed recursion from an all-zero
-    state: ``eps`` has shape ``(n, m)``; ``b`` and ``a``, shape ``(k, m)``
-    with ``k >= 2``, hold each column's MA and AR polynomials (``a[0] == 1``,
-    AR coefficients negated) zero-padded to the common length.  Each step
-    takes the operations of ``scipy.signal.lfilter``'s loop in the same
-    order, so column ``j`` equals ``lfilter(b[:, j], a[:, j], eps[:, j])``
-    bit for bit.
+    state: ``eps`` has shape ``(n, m)`` (any strides); ``b`` and ``a``,
+    shape ``(k, m)`` with ``k >= 2``, hold each column's MA and AR
+    polynomials (``b[0] == a[0] == 1``, AR coefficients negated)
+    zero-padded to the common length.  Each step saves ``x * b[i]`` of the
+    input row in row-sized scratch, then overwrites the row with its
+    output; the working memory beyond ``eps`` is ``O(k m)``.  The steps take
+    the operations of ``scipy.signal.lfilter``'s loop in the same order
+    (``b[0] * x`` is ``x``), so column ``j`` ends up equal to
+    ``lfilter(b[:, j], a[:, j], eps[:, j])`` bit for bit.  Returns ``eps``.
     """
-    b, a = list(b), list(a)
-    z = list(np.zeros((len(b) - 1, eps.shape[1])))
-    out = np.empty_like(eps)
-    for x, y in zip(eps, out):
-        np.add(z[0], b[0] * x, out=y)
+    m = eps.shape[1]
+    b_tail, a = list(b)[1:], list(a)
+    bx, z = list(np.empty((len(b_tail), m))), list(np.zeros((len(b_tail), m)))
+    ay = np.empty(m)
+    for x in eps:
+        for row, coeff in zip(bx, b_tail):
+            np.multiply(x, coeff, out=row)
+        np.add(z[0], x, out=x)
         for i in range(len(z) - 1):
-            np.subtract(z[i + 1] + x * b[i + 1], y * a[i + 1], out=z[i])
-        np.subtract(x * b[-1], y * a[-1], out=z[-1])
-    return out
+            np.add(z[i + 1], bx[i], out=z[i])
+            np.subtract(z[i], np.multiply(x, a[i + 1], out=ay), out=z[i])
+        np.subtract(bx[-1], np.multiply(x, a[-1], out=ay), out=z[-1])
+    return eps
 
 
-def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
+def gen_arfima(n: int, d: float, ar=(), ma=(), *, rng) -> np.ndarray:
     """Simulate a truncated, possibly fractionally integrated ARMA path.
 
     The ARMA core is built exactly as in :func:`gen_arima`; the integration
@@ -218,19 +227,22 @@ def gen_arfima(n: int, d: float, ar=(), ma=(), rng=None) -> np.ndarray:
 
 
 def _integrate(x: np.ndarray, d) -> np.ndarray:
-    """Integrate every column of ``x`` (all axes but 0) to order ``d`` along axis 0.
+    """Integrate every column of ``x`` (all axes but 0) in place to order ``d``
+    along axis 0, and return ``x``.
 
-    An integer ``d`` is ``d`` cumulative sums.  Otherwise each column is
-    convolved with :func:`frac_coeffs` ``(d, n - 1)`` and truncated to its
-    ``n`` rows.  This is the one place a simulated block is integrated.
+    An integer ``d`` is ``d`` cumulative sums, each written over ``x``
+    (``x`` may be a strided view).  Otherwise each column is convolved
+    with :func:`frac_coeffs` ``(d, n - 1)``, truncated to its ``n`` rows and
+    copied back.  This is the one place a simulated block is integrated.
     """
     if _is_integer_order(d):
         for _ in range(int(d)):
-            x = np.cumsum(x, axis=0)
+            np.cumsum(x, axis=0, out=x)
         return x
     n = x.shape[0]
     coeffs = frac_coeffs(d, n - 1)
-    return np.apply_along_axis(lambda col: np.convolve(coeffs, col)[:n], 0, x)
+    x[...] = np.apply_along_axis(lambda col: np.convolve(coeffs, col)[:n], 0, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +467,10 @@ class GeneratedPanel:
     b2 : ndarray, shape (p, r)
         Last ``r`` columns of ``(mixing^-1)'`` — the true comparison basis.
     x : ndarray, shape (n, p)
-        Latent components, nonstationary first.
+        Latent components, nonstationary first.  A view into the
+        ``(n, reps, p)`` latent array of the :func:`gen_panel` batch that
+        made the panel, not a copy, so holding one panel keeps that whole
+        array alive.
     true_r : int
     """
 
@@ -529,6 +544,12 @@ def gen_panel(specs):
     bit-identical to generating that spec alone; the batch's latent columns
     go through one :func:`_arma_filter` recursion.
 
+    The batch's innovations are drawn into one ``(n, reps, p)`` array,
+    which is filtered and integrated in place and becomes the latents:
+    each panel's ``x`` is its ``[:, j]`` view, and ``y`` is mixed from that
+    view.  That array and the ``y`` panels are the only full-size arrays
+    made, and holding any one panel keeps the whole array alive.
+
     Raises
     ------
     ValueError
@@ -552,27 +573,24 @@ def gen_panel(specs):
 
     b = np.ones((2, reps, p))
     a = np.ones_like(b)
-    eps = np.empty((n, reps, p))
+    x = np.empty((n, reps, p))
     for j, member in enumerate(batch):
         b[1, j], a[1, j] = _latent_coeffs(member)
-        eps[:, j] = derive_stream(member.seed, 1).standard_normal((p, n)).T
-    x = _arma_filter(b.reshape(2, -1), a.reshape(2, -1), eps.reshape(n, -1))
-    x = x.reshape(n, reps, p)
+        x[:, j] = derive_stream(member.seed, 1).standard_normal((p, n)).T
+    _arma_filter(b.reshape(2, -1), a.reshape(2, -1), x.reshape(n, -1))
 
     lo = 0
     for block in spec.nonstationary_blocks:
-        cols = slice(lo, lo + block.count)
+        _integrate(x[:, :, lo : lo + block.count], block.d)
         lo += block.count
-        x[:, :, cols] = _integrate(x[:, :, cols], block.d)
 
     panels = []
     for j, member in enumerate(batch):
-        xj = np.ascontiguousarray(x[:, j])
         mixing = _draw_mixing(member)
         panels.append(
             GeneratedPanel(
-                y=xj @ mixing.T, mixing=mixing, b2=true_b2(mixing, member.r),
-                x=xj, true_r=member.r,
+                y=x[:, j] @ mixing.T, mixing=mixing, b2=true_b2(mixing, member.r),
+                x=x[:, j], true_r=member.r,
             )
         )
     return panels[0] if single else panels

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +194,12 @@ def test_stationary_higher_order_ar_accepted():
     out = gen_arima(50, ar=(0.2, 0.1, 0.1), rng=make_stream(0))
     assert out.shape == (50,)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("generate, args", [(gen_arima, (50,)), (gen_arfima, (50, 0.3))])
+def test_generators_require_a_stream(generate, args):
+    with pytest.raises(TypeError, match="rng"):
+        generate(*args)
 
 
 @pytest.mark.parametrize("kwargs", [{"n": 0}, {"n": -3}])
@@ -607,6 +615,16 @@ FRACTIONAL_SPEC = ScenarioSpec(
 )
 
 
+def three_seed_batch(template):
+    """Specs of ``template`` (of ``FRACTIONAL_SPEC`` when None) at n=300 and
+    seeds 0, 1 and 2**63 + 5."""
+    seeds = (0, 1, 2**63 + 5)
+    if template is None:
+        return [ScenarioSpec.from_dict(dict(FRACTIONAL_SPEC.to_dict(), seed=s))
+                for s in seeds]
+    return [replace(template, n=300, seed=s) for s in seeds]
+
+
 @pytest.mark.parametrize(
     "template",
     [preset_template(name, *cells[-1]) for name, cells in PRESET_CELLS.items()]
@@ -614,12 +632,7 @@ FRACTIONAL_SPEC = ScenarioSpec(
     ids=list(PRESET_CELLS) + ["fractional"],
 )
 def test_batch_equals_panels_generated_one_by_one(template):
-    seeds = (0, 1, 2**63 + 5)
-    if template is None:
-        specs = [ScenarioSpec.from_dict(dict(FRACTIONAL_SPEC.to_dict(), seed=s))
-                 for s in seeds]
-    else:
-        specs = [replace(template, n=300, seed=s) for s in seeds]
+    specs = three_seed_batch(template)
     batch = gen_panel(specs)
     assert len(batch) == len(specs)
     for spec, panel in zip(specs, batch):
@@ -630,6 +643,65 @@ def test_batch_equals_panels_generated_one_by_one(template):
             assert got.tobytes() == expected.tobytes(), field
         assert panel.true_r == alone.true_r
     assert gen_panel([]) == []
+
+
+# sha256 of each field's bytes over a three_seed_batch, computed with the
+# out-of-place filter and integration that the in-place ones replaced, so
+# they pin that no bit moved.  Each preset's last cell with p <= 20 is used:
+# there ``y = x @ mixing.T`` does not depend on the BLAS thread count.
+PINNED_PANEL_DIGESTS = {
+    "example1": {
+        "y": "9fe50118a1ca2242682a740b867baca82e5e60614e771d4055d40e3e7e35f960",
+        "mixing": "efb8972e99254a27aaf2357713312677abd85332e32e4a9bbd401448942472f2",
+        "b2": "0e9929a2dbf90c32b627bad18b1a2df2f79a5f385b93ce574d7fb4fa91d4d993",
+        "x": "27e0ab6a22a7bea77c1468f0cd0ab9cfacd0f0abde24ac99d54e208886b515c4",
+    },
+    "example2": {
+        "y": "95e0ce9d604fadb3c49de8c2f74049fbe7d18edb2e5cd741be40b1882733d965",
+        "mixing": "efb8972e99254a27aaf2357713312677abd85332e32e4a9bbd401448942472f2",
+        "b2": "209ef62783bfa08432c0d8e820959cf059977935b6becbaf51a8aa0c0f3a0f09",
+        "x": "a3c5137adf0744ce536e47509fff356f5f14f6f2efc0b389d64a54e76fa300c9",
+    },
+    "example3": {
+        "y": "2f309d7a16b868a626ab8ebb620e7d33a675418bebfe2d9090922835067d534a",
+        "mixing": "efb8972e99254a27aaf2357713312677abd85332e32e4a9bbd401448942472f2",
+        "b2": "209ef62783bfa08432c0d8e820959cf059977935b6becbaf51a8aa0c0f3a0f09",
+        "x": "9eff4abcf7e4d09188704b9230fee32ee752d8caeac2d6c5e5fb669b955aadf4",
+    },
+    "fractional": {
+        "y": "d07261487f35e04aa5503432d4361dd3806e14e16552e4c6a7619b8d74eae853",
+        "mixing": "03f3627a0d37c2de2801fbdb88955769fcfe72afb41f1a0019f0be41300f7e60",
+        "b2": "775cb20ec1305d44b0e6b4d4972e9bc5377574bd550caedb4f2d3991c50bd076",
+        "x": "1eee49770a317d3319fa0e27b1f2b493ddad22468a0163e6adc3968d54a555b9",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_PANEL_DIGESTS))
+def test_batch_panels_match_pinned_digests(name):
+    template = None
+    if name != "fractional":
+        template = preset_template(name, *[c for c in PRESET_CELLS[name] if c[0] <= 20][-1])
+    panels = gen_panel(three_seed_batch(template))
+    for field, expected in PINNED_PANEL_DIGESTS[name].items():
+        data = b"".join(getattr(panel, field).tobytes() for panel in panels)
+        assert hashlib.sha256(data).hexdigest() == expected, field
+
+
+def test_batch_peak_memory_is_about_two_panel_sets():
+    # The batch array (the latents) and the mixed panels are the only
+    # full-size arrays: the filter and integration run in place, and each
+    # panel's ``x`` is a view of the batch array.
+    specs = [replace(preset_template("example2", 10, 4), n=1000, seed=s) for s in range(100)]
+    gen_panel(specs[:2])  # lazy imports inside NumPy stay out of the peak
+    tracemalloc.start()
+    try:
+        panels = gen_panel(specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * sum(panel.y.nbytes for panel in panels)
+    assert all(panel.x.base is panels[0].x.base is not None for panel in panels)
 
 
 @pytest.mark.parametrize(
