@@ -27,9 +27,13 @@ arguments and files, formats output and writes it (:func:`_write`).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from array import array
+from collections.abc import Iterable
+from math import isfinite
 
 import numpy as np
 
@@ -56,11 +60,16 @@ class _InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _write(path: str, text: str) -> None:
-    """Write one output file; a path that cannot be written is an input error."""
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Write one output file from ``pieces``, in order.
+
+    The pieces are written one at a time, so a large output (``analyze``'s
+    ``x_hat``, one row of text per piece) is never held as one string.  A
+    path that cannot be written is an input error.
+    """
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -68,58 +77,72 @@ def _write(path: str, text: str) -> None:
 def _read_panel_csv(path: str) -> np.ndarray:
     """Parse a panel CSV: optional header row, then rows = time points.
 
+    One pass over the file's lines appends each cell's ``float(field)`` to
+    one float buffer, which becomes the ``(n, p)`` panel without a copy; no
+    line, field or row is kept.  Blank lines are skipped anywhere, CRLF is
+    accepted and a leading UTF-8 BOM is ignored.  The first non-blank line is
+    a header if any of its fields is not a number; ``p`` is the width of the
+    first data row.
+
     Raises
     ------
     _InputError
-        With the offending line (and row/column for bad cells) named.
+        On an unreadable or non-UTF-8 file, a missing data row, a row of the
+        wrong width or a non-numeric cell, each naming its physical line (and
+        column), as met in file order; then, once the whole file has parsed,
+        on the first ``nan``/``inf`` cell, named by its text as written.
     """
+    values = array("d")
+    width = 0
+    header = False
+    nonfinite = None
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if line.strip() == "":
+                    continue
+                fields = line.split(",")
+                try:
+                    row = [float(f) for f in fields]
+                except ValueError:
+                    row = None
+                if width == 0:
+                    if row is None and not header:
+                        header = True  # the first non-blank line
+                        continue
+                    width = len(fields)
+                if len(fields) != width:
+                    raise _InputError(
+                        f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
+                    )
+                if row is None:
+                    for col, field in enumerate(fields, start=1):
+                        try:
+                            float(field)
+                        except ValueError:
+                            raise _InputError(
+                                f"{path}: non-numeric cell {field!r} at row {lineno}, "
+                                f"column {col}"
+                            ) from None
+                # A finite sum means finite cells; one that overflows finds none.
+                if nonfinite is None and not isfinite(sum(row)):
+                    for col, value in enumerate(row, start=1):
+                        if not isfinite(value):
+                            nonfinite = (f"{path}: non-finite cell {fields[col - 1]!r} "
+                                         f"at row {lineno}, column {col}")
+                            break
+                values.fromlist(row)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip() != ""]
-    if not rows:
-        raise _InputError(f"{path}: no data rows")
-
-    def numeric(fields):
-        try:
-            [float(f) for f in fields]
-            return True
-        except ValueError:
-            return False
-
-    start = 0
-    if not numeric(rows[0][1]):
-        start = 1  # header row
-        if len(rows) == 1:
-            raise _InputError(f"{path}: header only, no data rows")
-    width = len(rows[start][1])
-    data = []
-    for lineno, fields in rows[start:]:
-        if len(fields) != width:
-            raise _InputError(
-                f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-            )
-        values = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                values.append(float(field))
-            except ValueError:
-                raise _InputError(
-                    f"{path}: non-numeric cell {field!r} at row {lineno}, "
-                    f"column {col}"
-                ) from None
-        data.append(values)
-    panel = np.array(data, dtype=float)
-    bad = np.argwhere(~np.isfinite(panel))
-    if bad.size:
-        i, j = bad[0]
-        lineno, fields = rows[start + i]
-        raise _InputError(
-            f"{path}: non-finite cell {fields[j]!r} at row {lineno}, column {j + 1}"
-        )
-    return panel
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+    if width == 0:
+        raise _InputError(f"{path}: header only, no data rows" if header
+                          else f"{path}: no data rows")
+    if nonfinite is not None:
+        raise _InputError(nonfinite)
+    return np.frombuffer(values, dtype=float).reshape(-1, width)
 
 
 def _parse_penalty(text: str) -> PenaltySpec:
@@ -186,10 +209,11 @@ def cmd_analyze(args) -> int:
 
     out = args.out or os.path.splitext(args.input)[0] + "_report.json"
     xhat_path = os.path.splitext(out)[0] + "_xhat.csv"
-    _write(out, json.dumps(report, indent=2) + "\n")
-    header = ",".join(f"x{i + 1}" for i in range(p))
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in fitted.x_hat)
-    _write(xhat_path, header + "\n" + body + "\n")
+    _write(out, [json.dumps(report, indent=2) + "\n"])
+    header = ",".join(f"x{i + 1}" for i in range(p)) + "\n"
+    # One row of text at a time: no n*p Python floats, no whole-file string.
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in fitted.x_hat)
+    _write(xhat_path, itertools.chain([header], rows))
     print(f"wrote {out} and {xhat_path}")
     return 0
 
@@ -244,9 +268,9 @@ def cmd_simulate(args) -> int:
 
     report = run_plan(plan)
     _print_tables(report)
-    _write(out, emit_report(report, format=args.format))
+    _write(out, [emit_report(report, format=args.format)])
     if args.replicates_out:
-        _write(args.replicates_out, emit_replicates(report))
+        _write(args.replicates_out, [emit_replicates(report)])
     print("wrote " + " and ".join(written))
     return 0
 
@@ -279,7 +303,7 @@ def cmd_crit(args) -> int:
             table = existing.merged(table)
         except (OSError, ValueError, KeyError, TypeError, IndexError):
             pass  # unreadable, incompatible or corrupt cache: replace it
-    _write(args.out, json.dumps(table.to_dict(), indent=2, sort_keys=True))
+    _write(args.out, [json.dumps(table.to_dict(), indent=2, sort_keys=True)])
     print(f"wrote {args.out} (dims {list(table.dims)}, levels {list(table.levels)})")
     return 0
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from eigencoint import __version__
 from eigencoint.baselines import CriticalTable
-from eigencoint.cli import main
+from eigencoint.cli import _read_panel_csv, main
 from eigencoint.harness import ExperimentPlan
 from eigencoint.ranksel import PenaltySpec, fit, penalty, rank_ic, rank_ratio, split
 
@@ -136,6 +138,17 @@ def test_analyze_accepts_crlf_line_endings(tmp_path):
         ("", "no data rows"),
         ("1.0,2.0\n1.0,nan\n", "non-finite cell 'nan' at row 2, column 2"),
         ("1.0,2.0\n3.0,4.0\n-inf,1.0\n", "non-finite cell '-inf' at row 3, column 1"),
+        # A width or non-numeric error anywhere wins over an earlier non-finite cell.
+        ("1.0,2.0\n1.0,nan\n1.0,oops\n", "non-numeric cell 'oops' at row 3, column 2"),
+        ("1.0,2.0\n1.0,nan\n1.0\n", "line 3 has 1 fields, expected 2"),
+        # Rows are physical lines, blank ones included; cells are named as written.
+        ("\n1.0,2.0\n\n 1.0 ,x\n", "non-numeric cell 'x' at row 4, column 2"),
+        ("1.0,2.0\n1.0, NaN \n", "non-finite cell ' NaN ' at row 2, column 2"),
+        ("1.0,2.0\n1e308,1e308\n1.0,inf\n", "non-finite cell 'inf' at row 3, column 2"),
+        # Only the first non-blank line can be a header.
+        ("a,b\nc,d\n", "non-numeric cell 'c' at row 2, column 1"),
+        ("a,b\n1.0,2.0\n3.0\n", "line 3 has 1 fields, expected 2"),
+        ("\n \n", "no data rows"),
     ],
 )
 def test_analyze_reports_malformed_csv(tmp_path, capsys, content, message):
@@ -148,6 +161,84 @@ def test_analyze_reports_malformed_csv(tmp_path, capsys, content, message):
 def test_analyze_missing_file(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path / "absent.csv")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_analyze_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "utf16.csv"
+    bad.write_bytes(b"\xff\xfe" + "1.0,2.0\n".encode("utf-16-le"))
+    assert main(["analyze", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+def test_analyze_ignores_utf8_bom(tmp_path, header):
+    # A BOM glued to the first cell must not turn the first observation
+    # into a header.
+    rows = COINT_PAIR.read_text().splitlines()[0 if header else 1:41]
+    text = "\n".join(rows) + "\n"
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        panel = tmp_path / f"{name}.csv"
+        panel.write_bytes(data)
+        assert main(["analyze", "--input", str(panel)]) == 0
+        report = json.loads((tmp_path / f"{name}_report.json").read_text())
+        assert report.pop("input") == str(panel)
+        outputs.append((report, (tmp_path / f"{name}_report_xhat.csv").read_bytes()))
+    assert outputs[0][0]["n"] == 40
+    assert outputs[1] == outputs[0]
+
+
+def test_analyze_width_comes_from_first_data_row(tmp_path):
+    rows = COINT_PAIR.read_text().splitlines()[1:41]
+    panel = tmp_path / "wide_header.csv"
+    panel.write_text("a,b,c\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--input", str(panel), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["n"], report["p"]) == (40, 2)
+
+
+def test_analyze_unwritable_xhat_exits_2(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    (tmp_path / "r_xhat.csv").mkdir()
+    assert main(["analyze", "--input", str(COINT_PAIR), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'r_xhat.csv'}: ")
+    assert out.exists()
+
+
+def test_analyze_output_bytes_are_pinned(tmp_path, monkeypatch):
+    # Digests of the report and x_hat written before the reader and the
+    # x_hat writer were streamed; the report names its input, so the path
+    # is fixed by running inside tmp_path.
+    shutil.copy(COINT_PAIR, tmp_path / "coint_pair.csv")
+    monkeypatch.chdir(tmp_path)
+    argv = ["analyze", "--input", "coint_pair.csv", "--methods", "ratio,ic,unitroot"]
+    assert main(argv + ["--out", "r.json"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("r.json", "r_xhat.csv")}
+    assert digests == {
+        "r.json": "b0b1747bf7e00a99b026b25761f157156a5f327ad205e08a95fdcda5809759b2",
+        "r_xhat.csv": "37bc8f9cd865b81415412d57ff6dc03a88dab21d7d202e2fb9478e8f112010b7",
+    }
+
+
+def test_read_panel_csv_memory_is_bounded_by_the_panel(tmp_path):
+    # One float buffer: no per-line, per-field or per-cell Python objects
+    # outlive their row (18.6x the panel's bytes when every row was kept).
+    y = np.random.default_rng(3).standard_normal((2000, 20))
+    path = tmp_path / "panel.csv"
+    np.savetxt(path, y, delimiter=",", header=",".join(f"s{i}" for i in range(20)),
+               comments="")
+    _read_panel_csv(str(path))  # lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        panel = _read_panel_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.shape == (2000, 20)
+    assert_array_equal(panel, np.loadtxt(path, delimiter=",", skiprows=1))
+    assert peak <= 2.5 * panel.nbytes
 
 
 def test_analyze_panel_too_short(tmp_path, capsys):
