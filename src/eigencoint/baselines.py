@@ -42,6 +42,7 @@ the count of rejections estimates the cointegration rank.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import cycle
 from typing import Optional
@@ -175,8 +176,11 @@ def _draw_and_score(reps: int, row: int, draw, score) -> None:
     is drawn; at most two chunks are in flight.  Chunk ``k``'s score has
     returned before chunk ``k + 2`` is drawn, so a sampler may draw into two
     buffers in turn.  Only the calling thread draws, so a stream is read in
-    repetition order whatever the thread timing.  An error in either thread
-    is raised here, after the worker has been joined.
+    repetition order whatever the thread timing.  After an error in either
+    thread no further chunk is scored, and the error is raised here, after
+    the worker has been joined.  The worker is one plain ``threading.Thread``
+    fed through two semaphores: ``concurrent.futures`` took 6-10 ms to
+    import in a cold CLI process, where nothing else uses it.
 
     The two threads overlap only while the worker runs without the GIL.
     Philox draws release it; so do stacked gemm, ``np.linalg.solve`` and
@@ -185,18 +189,57 @@ def _draw_and_score(reps: int, row: int, draw, score) -> None:
     cores): 200 ``(32, 1000)`` Philox draws take 0.16 s alone, 0.16-0.17 s
     next to a worker looping one of the first group, and 1.20-1.33 s next
     to one looping one of the second.
-    """
-    from concurrent.futures import ThreadPoolExecutor
 
+    The two threads also need both cores, so build a table before any
+    threaded BLAS work in the process.  OpenBLAS's own worker thread, once
+    a threaded product has woken it (``fit`` on a p=20, n=2500 panel), keeps
+    taking CPU after the call returns.  Measured on ``analyze --methods
+    ratio,ic,unitroot`` of a p=20, n=2500 random-walk panel (``cli.main``
+    in a fresh process, 2 cores, 8 processes each): with the unit-root
+    table after the fit, 478-657 ms wall and 779-864 ms process CPU; with
+    the table first, 392-468 ms and 685-778 ms.  Setting OpenBLAS to one
+    thread just before the table did not help: the already woken worker
+    keeps spinning.
+    """
     m = _chunk_reps(row)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        scoring = None
+    job = []  # (chunk, start) handed to the worker; empty tells it to stop
+    errors = []
+    handed = threading.Semaphore(0)
+    scored = threading.Semaphore(0)
+
+    def work() -> None:
+        while True:
+            handed.acquire()
+            if not job:
+                return
+            try:
+                score(*job)
+            except BaseException as exc:  # raised by the calling thread
+                errors.append(exc)
+            scored.release()
+
+    worker = threading.Thread(target=work, name="eigencoint-score")
+    worker.start()
+    busy = False
+    try:
         for start in range(0, reps, m):
             chunk = draw(min(m, reps - start))
-            if scoring is not None:
-                scoring.result()
-            scoring = pool.submit(score, chunk, start)
-        scoring.result()
+            if busy:
+                scored.acquire()
+                busy = False
+                if errors:
+                    break
+            job[:] = (chunk, start)
+            handed.release()
+            busy = True
+    finally:
+        if busy:
+            scored.acquire()
+        job.clear()
+        handed.release()
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from .baselines import (
 )
 from .covstack import DEFAULT_J0
 from .errors import EigencointError
-from .harness import emit_replicates, emit_report, load_plan, run_plan
+from .harness import check_distinct, emit_replicates, emit_report, load_plan, run_plan
 from .ranksel import PenaltySpec, fit, penalty, rank_ic, rank_ratio, split
 
 _ANALYZE_METHODS = ("ratio", "ic", "unitroot")
@@ -72,6 +72,15 @@ def _write(path: str, pieces: Iterable[str]) -> None:
             fh.writelines(pieces)
     except OSError as exc:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(paths: Iterable[str]) -> None:
+    """Refuse an output path that is a directory or whose directory does not
+    exist, before any input is read or any table simulated; :func:`_write`
+    still maps whatever else goes wrong when the file is written."""
+    for path in paths:
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise _InputError(f"cannot write {path}: not a file in an existing directory")
 
 
 def _read_panel_csv(path: str) -> np.ndarray:
@@ -172,6 +181,14 @@ def cmd_analyze(args) -> int:
     for m in methods:
         if m not in _ANALYZE_METHODS:
             raise _InputError(f"unknown method {m!r}; expected {_ANALYZE_METHODS}")
+    try:
+        check_distinct("methods", methods)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    out = args.out or os.path.splitext(args.input)[0] + "_report.json"
+    xhat_path = os.path.splitext(out)[0] + "_xhat.csv"
+    _check_writable((out, xhat_path))
+
     y = _read_panel_csv(args.input)
     n, p = y.shape
     if n <= args.j0 + 1:
@@ -182,6 +199,10 @@ def cmd_analyze(args) -> int:
         raise _InputError(
             f"{args.input}: {n} rows is too short for unitroot (need n >= {_UNIT_ROOT_MIN_N})"
         )
+    # The table's two threads need both cores: build it before the fit wakes
+    # OpenBLAS's worker (baselines._draw_and_score).
+    if "unitroot" in methods:
+        crit = unit_root_critical_table(n=n, levels=(args.level,), seed=args.seed)
     fitted = fit(y, args.j0)
     report = {
         "input": args.input,
@@ -198,7 +219,6 @@ def cmd_analyze(args) -> int:
         ranks["ic"] = rank_ic(fitted.eigen, omega)
         report["penalty"] = {"variant": spec.variant, "omega": float(omega)}
     if "unitroot" in methods:
-        crit = unit_root_critical_table(n=n, levels=(args.level,), seed=args.seed)
         ranks["unitroot"] = sequential_unit_root(fitted.x_hat, args.level, crit)
         report["level"] = args.level
     report["ranks"] = ranks
@@ -207,8 +227,6 @@ def cmd_analyze(args) -> int:
     report["selected_r"] = r_sel
     report["a2"] = [[float(v) for v in row] for row in split(fitted, r_sel)[1]]
 
-    out = args.out or os.path.splitext(args.input)[0] + "_report.json"
-    xhat_path = os.path.splitext(out)[0] + "_xhat.csv"
     _write(out, [json.dumps(report, indent=2) + "\n"])
     header = ",".join(f"x{i + 1}" for i in range(p)) + "\n"
     # One row of text at a time: no n*p Python floats, no whole-file string.
@@ -261,10 +279,7 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"invalid plan: {exc}") from exc
     out = args.out or f"simulation_report.{args.format}"
     written = [path for path in (out, args.replicates_out) if path]
-    for path in written:
-        # The plan may run for minutes; refuse an unwritable output first.
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise _InputError(f"cannot write {path}: not a file in an existing directory")
+    _check_writable(written)  # the plan may run for minutes
 
     report = run_plan(plan)
     _print_tables(report)
@@ -290,6 +305,7 @@ def cmd_crit(args) -> int:
         raise _InputError(f"bad --dim {args.dim!r}: {exc}") from exc
     if not dims:
         raise _InputError(f"bad --dim {args.dim!r}: no dimensions")
+    _check_writable((args.out,))
     try:
         table = trace_critical_table(
             dims=dims, levels=(args.level,), T=args.T, reps=args.reps, seed=args.seed

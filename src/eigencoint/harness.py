@@ -87,6 +87,13 @@ _CHUNK_FLOATS = 2**20
 _FIT_FLOATS = 2**15
 
 
+def check_distinct(label: str, values: list) -> None:
+    """Raise ``ValueError`` naming each value of ``values`` that repeats."""
+    repeated = [v for i, v in enumerate(values) if values[:i].count(v) == 1]
+    if repeated:
+        raise ValueError(f"{label} must be distinct, got {values} (repeated: {repeated})")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a reproducible experiment run needs.
@@ -179,9 +186,7 @@ class ExperimentPlan:
         for label, values in (("scenario names", [s.name for s in scenarios]),
                               ("n_grid entries", list(self.n_grid)),
                               ("estimators", list(self.estimators))):
-            repeated = [v for i, v in enumerate(values) if values[:i].count(v) == 1]
-            if repeated:
-                raise ValueError(f"{label} must be distinct, got {values} (repeated: {repeated})")
+            check_distinct(label, values)
         n_min = min(self.n_grid)
         if not 0 <= self.j0 <= n_min - 2:
             raise ValueError(

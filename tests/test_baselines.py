@@ -636,6 +636,75 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
+    # Three callers at once on two cores, switching threads every
+    # microsecond: each call draws on its own thread only, scores its chunks
+    # in order on one other thread, and finishes chunk k's score before it
+    # draws chunk k + 2.
+    reps, row = 2001, baselines._CHUNK_FLOATS // 2  # 1001 chunks of at most 2
+    logs, failures = [], []
+
+    def one_call() -> None:
+        log, caller = [], threading.get_ident()
+        logs.append(log)
+
+        def draw(k):
+            log.append(("draw", threading.get_ident() == caller, k))
+            return k
+
+        def score(chunk, start):
+            log.append(("score", threading.get_ident() == caller, start))
+            log.append(("scored", threading.get_ident() == caller, start))
+
+        try:
+            baselines._draw_and_score(reps, row, draw, score)
+        except BaseException as exc:
+            failures.append(exc)
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=one_call) for _ in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert failures == []
+    assert threading.active_count() == threads
+    starts = list(range(0, reps, 2))
+    for log in logs:
+        assert [(on, k) for kind, on, k in log if kind == "draw"] == (
+            [(True, 2)] * 1000 + [(True, 1)])
+        assert [(on, start) for kind, on, start in log if kind == "score"] == [
+            (False, start) for start in starts]
+        draws = [i for i, (kind, _, _) in enumerate(log) if kind == "draw"]
+        scored = [i for i, (kind, _, _) in enumerate(log) if kind == "scored"]
+        assert all(scored[k] < draws[k + 2] for k in range(len(starts) - 2))
+
+
+def test_draw_error_stops_scoring_and_joins_worker():
+    # The chunk in flight when a draw fails is scored; no later one is.
+    drawn, scored = [], []
+
+    def draw(k):
+        drawn.append(k)
+        if len(drawn) == 3:
+            raise RuntimeError("third draw")
+        return k
+
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="third draw"):
+        baselines._draw_and_score(10, baselines._CHUNK_FLOATS // 2, draw,
+                                  lambda chunk, start: scored.append(start))
+    assert drawn == [2, 2, 2]
+    assert scored == [0, 2]
+    assert threading.active_count() == threads
+
+
 def test_unit_root_tables_back_to_back_match_the_loop_bitwise():
     # The sampler's slots, walks and workspace are allocated per table: a
     # table built after a longer or a shorter one is the one it gets alone,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eigencoint import __version__
+from eigencoint import __version__, cli
 from eigencoint.baselines import CriticalTable
 from eigencoint.cli import _read_panel_csv, main
 from eigencoint.harness import ExperimentPlan
@@ -24,6 +24,10 @@ NOISE3 = FIXTURES / "noise3.csv"
 
 def load_pair():
     return np.loadtxt(COINT_PAIR, delimiter=",", skiprows=1)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called after an output was found unwritable")
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +202,54 @@ def test_analyze_width_comes_from_first_data_row(tmp_path):
     assert (report["n"], report["p"]) == (40, 2)
 
 
-def test_analyze_unwritable_xhat_exits_2(tmp_path, capsys):
+def test_analyze_unwritable_xhat_exits_2(tmp_path, capsys, monkeypatch):
+    # Both outputs are checked before the panel is read: no report is left.
+    monkeypatch.setattr(cli, "_read_panel_csv", refuse)
     out = tmp_path / "r.json"
     (tmp_path / "r_xhat.csv").mkdir()
     assert main(["analyze", "--input", str(COINT_PAIR), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / 'r_xhat.csv'}: ")
-    assert out.exists()
+    assert os.listdir(tmp_path) == ["r_xhat.csv"]
+    assert os.listdir(tmp_path / "r_xhat.csv") == []
+
+
+@pytest.mark.parametrize("methods, calls", [
+    ("ratio,ic,unitroot", ["table", "fit"]),
+    ("unitroot", ["table", "fit"]),
+    ("ratio,ic", ["fit"]),
+])
+def test_analyze_builds_the_unit_root_table_before_the_fit(tmp_path, monkeypatch, methods,
+                                                           calls):
+    # The table's two threads need both cores, which the fit's threaded BLAS
+    # products would share (baselines._draw_and_score).
+    recorded = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            recorded.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "unit_root_critical_table",
+                        recording("table", cli.unit_root_critical_table))
+    monkeypatch.setattr(cli, "fit", recording("fit", cli.fit))
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--input", str(COINT_PAIR), "--methods", methods, "--out", str(out)]
+    assert main(argv) == 0
+    assert recorded == calls
+
+
+def test_analyze_rejects_repeated_methods(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_read_panel_csv", refuse)
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--input", str(COINT_PAIR), "--methods", "ratio,ratio,ic,ic,ic",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: methods must be distinct, got ['ratio', 'ratio', 'ic', "
+                            "'ic', 'ic'] (repeated: ['ratio', 'ic'])\n")
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_analyze_output_bytes_are_pinned(tmp_path, monkeypatch):
@@ -288,14 +334,21 @@ def test_analyze_overflowing_penalty_is_numerical_failure(tmp_path, capsys):
     "argv",
     [
         ["analyze", "--input", str(COINT_PAIR), "--out", "{missing}/r.json"],
+        ["analyze", "--input", str(COINT_PAIR), "--methods", "ratio,unitroot",
+         "--out", "{missing}/r.json"],
+        ["analyze", "--input", str(COINT_PAIR), "--methods", "unitroot", "--out", "{tmp}"],
         ["simulate", "--preset", "example2", "--cells", "6,2", "--n", "300",
          "--estimators", "ratio", "--reps", "2", "--out", "{missing}/r.csv"],
         ["crit", "--dim", "1", "--T", "100", "--reps", "1000", "--out", "{missing}/c.json"],
         ["crit", "--dim", "1", "--T", "100", "--reps", "1000", "--out", "{tmp}"],
     ],
-    ids=["analyze", "simulate", "crit-missing-dir", "crit-directory"],
+    ids=["analyze", "analyze-unitroot", "analyze-directory", "simulate", "crit-missing-dir",
+         "crit-directory"],
 )
-def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # Refused before any input is read or any table simulated.
+    for name in ("_read_panel_csv", "unit_root_critical_table", "trace_critical_table"):
+        monkeypatch.setattr(cli, name, refuse)
     argv = [a.format(missing=tmp_path / "absent", tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
