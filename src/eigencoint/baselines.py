@@ -341,30 +341,47 @@ def trace_critical_table(
 
 
 def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
-    """The ``"trace"`` or ``"unit_root"`` table, as its public wrapper documents.
+    """The one table of :func:`_critical_tables` at inner length ``T``."""
+    (table,) = _critical_tables(statistic, dims, levels, (T,), reps, seed)
+    return table
 
-    The sampler is looked up at call time, so it can be wrapped.  It takes
-    ``(dims, T, reps, seed)`` and returns one row of ``reps`` statistics per
-    dim.  Trace tables store upper-tail (``1 - level``) quantiles, unit-root
-    tables lower-tail (``level``) ones.
+
+def _critical_tables(statistic: str, dims, levels, Ts, reps: int, seed: int) -> list:
+    """One ``"trace"`` or ``"unit_root"`` table per inner length in ``Ts``,
+    as the public wrappers document.
+
+    Every argument, each length of ``Ts`` included, is checked before the
+    first draw.  The samplers are looked up at call time, so they can be
+    wrapped.  The trace sampler takes ``(dims, T, reps, seed)`` and returns
+    one row of ``reps`` statistics per dim, once per ``T``; the unit-root
+    sampler takes the ascending distinct lengths and returns one row per
+    length from one pass of its stream.  Trace tables store upper-tail
+    (``1 - level``) quantiles, unit-root tables lower-tail (``level``) ones.
     """
     dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
-    _check_table_args(statistic, dims, levels, T, reps, seed)
-    sampler, quantiles, tag = {
-        "trace": (_trace_stat_sample, [1.0 - lv for lv in levels], {"sampler": "nested-dot"}),
-        "unit_root": (_unit_root_stat_sample, list(levels), {}),
-    }[statistic]
-    values = np.empty((len(dims), len(levels)))
-    if dims:
-        for i, sample in enumerate(sampler(dims, T, reps, seed)):
+    for T in Ts:
+        _check_table_args(statistic, dims, levels, T, reps, seed)
+    if statistic == "trace":
+        quantiles, tag = [1.0 - lv for lv in levels], {"sampler": "nested-dot"}
+        samples = {T: _trace_stat_sample(dims, T, reps, seed) if dims else () for T in Ts}
+    else:
+        quantiles, tag = list(levels), {}
+        lengths = sorted(set(Ts))
+        samples = dict(zip(lengths, _unit_root_stat_sample(lengths, reps, seed)[:, None]
+                           if lengths else ()))
+    tables = []
+    for T in Ts:
+        values = np.empty((len(dims), len(levels)))
+        for i, sample in enumerate(samples[T]):
             values[i] = np.quantile(sample, quantiles)
-    return CriticalTable(
-        dims=dims,
-        levels=levels,
-        values=values,
-        meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic, **tag},
-    )
+        tables.append(CriticalTable(
+            dims=dims,
+            levels=levels,
+            values=values,
+            meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic, **tag},
+        ))
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -570,63 +587,108 @@ def _unit_root_stats(
 
 
 def unit_root_critical_table(
-    n: int, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
-) -> CriticalTable:
+    n, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
+) -> CriticalTable | list:
     """Simulate the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the same length ``n`` as the series
     to be tested; the table stores lower-tail (``level``) quantiles.  It is
     the ``dims=(1,)`` table of the shared builder, so its walks come from
-    the one stream ``derive_stream(seed, 1)``
+    the one stream ``derive_stream(seed, 1)``, read from its start
     (:func:`_unit_root_stat_sample`), and its values are bitwise those of
-    one walk at a time.  Every argument is validated before the first draw.
+    one walk at a time.
+
+    ``n`` may also be a sequence of lengths, the way :func:`gen_panel
+    <eigencoint.simgen.gen_panel>` takes a list of specs.  The result is
+    then the list of their tables, in the order given, and each is bitwise
+    the table its length gets alone: every table reads the same stream
+    from its start, so one pass of it, as long as the largest length's
+    table needs, serves every length.  An empty sequence gives ``[]``.
+
+    Every argument, each length included, is validated before the first
+    draw.
 
     Raises
     ------
     ValueError
         ``reps < 1000``, a level outside (0, 1), or ``seed < 0``.
     InvalidSeries
-        ``n < 20``, as :func:`unit_root_stat` would raise.
+        A length below 20, as :func:`unit_root_stat` would raise.
     """
-    return _critical_table("unit_root", (1,), levels, n, reps, seed)
+    if np.ndim(n) == 0:
+        return _critical_table("unit_root", (1,), levels, n, reps, seed)
+    return _critical_tables("unit_root", (1,), levels, tuple(n), reps, seed)
 
 
-def _unit_root_stat_sample(dims, n: int, reps: int, seed: int) -> np.ndarray:
-    """Seeded sample of :func:`unit_root_stat` on random walks of length ``n``.
+def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
+    """Seeded samples of :func:`unit_root_stat` on random walks, one row of
+    ``reps`` statistics per length of ``ns`` (ascending, distinct).
 
-    ``dims`` is ``(1,)``: the statistic is univariate, and its one row comes
-    from the stream ``derive_stream(seed, 1)``.  The calling thread draws
-    the walks' steps in ``(m, n)`` chunks, in the order of one walk at a
-    time, while one worker thread cumsums and scores
-    (:func:`_unit_root_stats`) the previous chunk (:func:`_draw_and_score`).
-    Each walk's arithmetic does not depend on its chunk, so the sample is
-    bitwise that of a per-walk loop, whatever the chunk size or the thread
-    timing.
+    Walk ``j`` of length ``n`` is the cumulative sum of floats ``j n`` to
+    ``(j + 1) n - 1`` of the one stream ``derive_stream(seed, 1)``, which
+    is what ``reps`` draws of ``standard_normal(n)`` give.  So every
+    length reads the same stream from its start, and one pass serves all
+    of them.  The calling thread draws the stream in flat chunks of
+    ``m = _chunk_reps(N)`` walks of the largest length ``N``, while one
+    worker thread scores the previous chunk (:func:`_draw_and_score`).  For
+    each length that still needs walks, the worker cumsums every walk that
+    the chunk completes into one ``(k, n)`` walk buffer and scores it with
+    :func:`_unit_root_stats`.  A walk that straddles two chunks has its
+    first steps copied out of the earlier chunk, into that length's own
+    length-``n`` buffer, before the worker hands the chunk back.  Each
+    walk's arithmetic does not depend on its chunk or on the other
+    lengths, so each row is bitwise that of a per-walk loop, whatever the
+    chunk size or the thread timing.
 
-    Every buffer is allocated before the first draw: two ``(m, n)`` slots
+    Every buffer is allocated before the first draw: two ``(m, N)`` slots
     that the chunks are drawn into in turn (``standard_normal(out=...)``
-    gives the bits of ``standard_normal((k, n))``), one for the walks and
-    the scorer's workspace.  Two slots suffice because
-    :func:`_draw_and_score` waits for chunk ``k``'s score before it draws
-    chunk ``k + 2``.
+    gives the bits of ``standard_normal((k, N))``), and one walk buffer and
+    one scorer workspace, each sized for the largest ``(k, n)`` batch a
+    chunk can complete and shared by every length.  Two slots suffice
+    because :func:`_draw_and_score` waits for chunk ``k``'s score before it
+    draws chunk ``k + 2``.
     """
-    (dim,) = dims
-    rng = derive_stream(seed, dim)
-    sample = np.empty((1, reps))
-    m = min(reps, _chunk_reps(n))
-    slots = cycle(np.empty((2, m, n)))
-    walks = np.empty((m, n))
-    work = np.empty((3, m, n - 1))
+    N = ns[-1]
+    rng = derive_stream(seed, 1)
+    sample = np.empty((len(ns), reps))
+    m = min(reps, _chunk_reps(N))
+    slots = cycle(np.empty((2, m, N)))
+    # A chunk of m * N floats, after a carried head of < n, completes at
+    # most this many walks of length n.
+    most = [min(reps, (m * N + n - 1) // n) for n in ns]
+    walks = np.empty(max(k * n for k, n in zip(most, ns)))
+    work = np.empty((3, max(k * (n - 1) for k, n in zip(most, ns))))
+    heads = [np.empty(n) for n in ns]
+    held = [0] * len(ns)  # steps of the straddling walk already in heads[i]
+    done = [0] * len(ns)
 
     def draw(k: int) -> np.ndarray:
         return rng.standard_normal(out=next(slots)[:k])
 
     def score(steps: np.ndarray, start: int) -> None:
-        k = len(steps)
-        xs = np.cumsum(steps, axis=1, out=walks[:k])
-        sample[0, start:start + k] = _unit_root_stats(xs, work=work[:, :k])
+        flat = steps.reshape(-1)
+        for i, n in enumerate(ns):
+            t = held[i]
+            k = min((t + flat.size) // n, reps - done[i])
+            if k == 0:
+                continue
+            xs = walks[:k * n].reshape(k, n)
+            used = 0
+            if t:
+                used = n - t
+                heads[i][t:] = flat[:used]
+                np.cumsum(heads[i], out=xs[0])
+            end = used + (k - (t > 0)) * n
+            np.cumsum(flat[used:end].reshape(-1, n), axis=1, out=xs[(t > 0):])
+            held[i] = 0
+            if done[i] + k < reps:
+                held[i] = flat.size - end
+                heads[i][:held[i]] = flat[end:]
+            ws = work[:, :k * (n - 1)].reshape(3, k, n - 1)
+            sample[i, done[i]:done[i] + k] = _unit_root_stats(xs, work=ws)
+            done[i] += k
 
-    _draw_and_score(reps, n, draw, score)
+    _draw_and_score(reps, N, draw, score)
     return sample
 
 

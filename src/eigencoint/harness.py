@@ -59,8 +59,8 @@ from .ranksel import (
     rank_ratio_fractional,
     split,
 )
-from .simgen import ProcessBlock, ScenarioSpec, _from_dict, _integer, gen_panel
-from .subspace import dist_d1
+from .simgen import ProcessBlock, ScenarioSpec, _from_dict, gen_panel
+from .subspace import _integer, dist_d1
 
 ESTIMATORS = (
     "ratio",
@@ -376,7 +376,7 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
                         key = est if est == "johansen" else r_est
                         if key not in distances:
                             try:
-                                distances[key] = dist_d1(a2, panel.b2), ""
+                                distances[key] = dist_d1(a2, panel.b2, b2_q=panel.b2_q), ""
                             except EigencointError as exc:
                                 distances[key] = None, type(exc).__name__
                         dist, error = distances[key]
@@ -448,12 +448,11 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
             seed=plan.master_seed,
         )
     if "unitroot" in plan.estimators:
-        tables["unitroot"] = {
-            n: unit_root_critical_table(
-                n=n, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
-            )
-            for n in sorted(set(plan.n_grid))
-        }
+        # One pass of the table's stream serves every sample size.
+        ns = sorted(set(plan.n_grid))
+        tables["unitroot"] = dict(zip(ns, unit_root_critical_table(
+            n=ns, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
+        )))
 
     all_cells = []
     all_records = []

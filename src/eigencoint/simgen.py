@@ -47,7 +47,7 @@ import numpy as np
 
 from .baselines import derive_stream
 from .errors import InvalidOrder, NonstationaryAR, SingularMixing
-from .subspace import true_b2
+from .subspace import _integer, _orthonormal_factors, true_b2
 
 #: Condition-number ceiling above which a drawn mixing matrix is rejected.
 MIXING_COND_LIMIT = 1e10
@@ -249,15 +249,6 @@ def _integrate(x: np.ndarray, d) -> np.ndarray:
 # scenario specification
 
 _LAW_KINDS = ("uniform", "grid", "none")
-
-
-def _integer(name: str, value, positive: bool = False) -> int:
-    """``value`` as an int: ``2.0`` gives ``2``; ``2.5``, ``"2"``, ``True`` and,
-    with ``positive``, values below 1 raise ValueError."""
-    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()) and (value >= 1 or not positive):
-        return int(value)
-    raise ValueError(f"{name} must be {'a positive' if positive else 'an'} integer, got {value!r}")
 
 
 def _from_dict(cls, data: dict, what: str):
@@ -472,6 +463,13 @@ class GeneratedPanel:
         made the panel, not a copy, so holding one panel keeps that whole
         array alive.
     true_r : int
+    b2_q : ndarray of shape (p, r), or None
+        The reduced QR factor of ``b2``, bitwise ``np.linalg.qr(b2)[0]``,
+        which :func:`~eigencoint.subspace.dist_d1` takes as ``b2_q=`` so that
+        it does not factor ``b2`` again.  None when ``r = 0`` (an empty basis
+        needs no factor), when ``b2`` fails ``dist_d1``'s rank check (so
+        ``dist_d1`` raises ``SingularBasis`` for it, as without a factor),
+        and for a panel built by hand.
     """
 
     y: np.ndarray
@@ -479,24 +477,46 @@ class GeneratedPanel:
     b2: np.ndarray
     x: np.ndarray
     true_r: int
+    b2_q: Optional[np.ndarray] = None
 
 
-def _draw_mixing(spec: ScenarioSpec) -> np.ndarray:
-    kind = spec.mixing_law["kind"]
+def _draw_mixings(batch) -> np.ndarray:
+    """The ``(reps, p, p)`` stack of the batch's mixing matrices.
+
+    Member ``j``'s matrix depends on its own spec alone.  Uniform draws take
+    attempt ``k`` from ``derive_stream(seed, 2, k)`` until one has a
+    condition number of at most :data:`MIXING_COND_LIMIT`.  Each round draws
+    only the members still pending and checks them with one stacked
+    ``np.linalg.cond`` (one stacked SVD), which is bitwise the per-matrix
+    check.
+
+    Raises
+    ------
+    SingularMixing
+        A member has no acceptable draw in :data:`MIXING_RETRIES` attempts.
+    """
+    spec = batch[0]
+    p, kind = spec.p, spec.mixing_law["kind"]
     if kind == "identity":
-        return np.eye(spec.p)
+        return np.tile(np.eye(p), (len(batch), 1, 1))
     if kind == "orthogonal":
-        g = derive_stream(spec.seed, 2, 0).standard_normal((spec.p, spec.p))
+        g = np.stack([derive_stream(member.seed, 2, 0).standard_normal((p, p))
+                      for member in batch])
         q, rmat = np.linalg.qr(g)
-        return q * np.sign(np.diag(rmat))
+        return q * np.sign(np.diagonal(rmat, axis1=1, axis2=2))[:, None, :]
     low, high = spec.mixing_law["low"], spec.mixing_law["high"]
+    mixings = np.empty((len(batch), p, p))
+    pending = list(range(len(batch)))
     for attempt in range(MIXING_RETRIES):
-        a = derive_stream(spec.seed, 2, attempt).uniform(low, high, size=(spec.p, spec.p))
-        if np.linalg.cond(a) <= MIXING_COND_LIMIT:
-            return a
+        for j in pending:
+            mixings[j] = derive_stream(batch[j].seed, 2, attempt).uniform(low, high, size=(p, p))
+        pending = [j for j, cond in zip(pending, np.linalg.cond(mixings[pending]))
+                   if not cond <= MIXING_COND_LIMIT]
+        if not pending:
+            return mixings
     raise SingularMixing(
         f"no mixing draw with condition <= {MIXING_COND_LIMIT:g} in "
-        f"{MIXING_RETRIES} attempts (seed {spec.seed})"
+        f"{MIXING_RETRIES} attempts (seed {batch[pending[0]].seed})"
     )
 
 
@@ -547,8 +567,17 @@ def gen_panel(specs):
     The batch's innovations are drawn into one ``(n, reps, p)`` array,
     which is filtered and integrated in place and becomes the latents:
     each panel's ``x`` is its ``[:, j]`` view, and ``y`` is mixed from that
-    view.  That array and the ``y`` panels are the only full-size arrays
-    made, and holding any one panel keeps the whole array alive.
+    view, one product per panel.  That array and the ``y`` panels are the
+    only full-size arrays made, and holding any one panel keeps the whole
+    array alive.
+
+    The batch's small matrices are factored together, each stacked call
+    bitwise the per-matrix one: one stacked SVD checks the condition of
+    the mixing draws (only failing members are redrawn), one stacked
+    :func:`~eigencoint.subspace.true_b2` gives every ``b2``, and one
+    stacked SVD (the rank check of
+    :func:`~eigencoint.subspace.dist_d1`) and one stacked QR give every
+    ``b2_q``.  ``mixing``, ``b2`` and ``b2_q`` are views of those stacks.
 
     Raises
     ------
@@ -584,13 +613,16 @@ def gen_panel(specs):
         _integrate(x[:, :, lo : lo + block.count], block.d)
         lo += block.count
 
-    panels = []
-    for j, member in enumerate(batch):
-        mixing = _draw_mixing(member)
-        panels.append(
-            GeneratedPanel(
-                y=x[:, j] @ mixing.T, mixing=mixing, b2=true_b2(mixing, member.r),
-                x=x[:, j], true_r=member.r,
-            )
+    mixings = _draw_mixings(batch)
+    b2s = true_b2(mixings, spec.r)
+    factors = _orthonormal_factors(b2s) if spec.r else [None] * reps
+    # One product per member: a stacked matmul over the strided batch
+    # array would copy it.
+    panels = [
+        GeneratedPanel(
+            y=x[:, j] @ mixings[j].T, mixing=mixings[j], b2=b2s[j], x=x[:, j], true_r=spec.r,
+            b2_q=q if isinstance(q, np.ndarray) else None,
         )
+        for j, q in enumerate(factors)
+    ]
     return panels[0] if single else panels

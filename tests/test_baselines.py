@@ -808,3 +808,89 @@ def test_sequential_rank_rejects_constant_column(ur_table):
     )
     with pytest.raises(DegenerateComponent):
         sequential_unit_root(x, 0.05, ur_table)
+
+
+@pytest.mark.parametrize(
+    "ns, reps",
+    [
+        ((20, 21, 997), 2000),  # walks of 20 and 21 straddle chunks of 997
+        ((300, 500, 1000, 1500, 2000, 2500), 1001),  # the preset grid, ragged last chunk
+        ((1000, 300, 1000), 1000),  # unsorted, repeated
+    ],
+)
+def test_unit_root_batch_tables_equal_the_per_size_tables(ns, reps):
+    levels = (0.01, 0.05, 0.1, 0.5)
+    tables = unit_root_critical_table(n=list(ns), levels=levels, reps=reps, seed=11)
+    assert len(tables) == len(ns)
+    for n, table in zip(ns, tables):
+        alone = unit_root_critical_table(n, levels=levels, reps=reps, seed=11)
+        assert table.values.tobytes() == alone.values.tobytes()
+        assert (table.dims, table.levels, table.meta) == (alone.dims, alone.levels, alone.meta)
+    assert unit_root_critical_table(n=(), reps=1000) == []
+
+
+@pytest.mark.parametrize("ns, reps", [((20, 21, 997), 2000), ((300, 1000, 2500), 1001)])
+def test_unit_root_batch_sample_is_every_walk_scored_alone(ns, reps):
+    # Walk j of length n is floats j*n .. (j+1)*n - 1 of stream (seed, 1),
+    # also where it straddles two draw chunks; compare every statistic,
+    # not only the quantiles that a few wrong walks may leave unchanged.
+    chunk = baselines._chunk_reps(ns[-1]) * ns[-1]
+    assert all(reps * n > chunk and chunk % n for n in ns[:-1])  # walks straddle
+    sample = baselines._unit_root_stat_sample(list(ns), reps, 12)
+    for i, n in enumerate(ns):
+        steps = derive_stream(12, 1).standard_normal((reps, n))
+        expected = baselines._unit_root_stats(np.cumsum(steps, axis=1))
+        assert sample[i].tobytes() == expected.tobytes()
+        assert baselines._unit_root_stat_sample([n], reps, 12)[0].tobytes() == expected.tobytes()
+
+
+def test_unit_root_batch_tables_read_the_stream_once(monkeypatch):
+    # One stream, drawn once: as many normals as the largest size's table.
+    drawn = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            drawn.append(out.size)
+            return self.rng.standard_normal(out=out)
+
+    keys = []
+    stream = baselines.derive_stream
+    monkeypatch.setattr(baselines, "derive_stream",
+                        lambda *key: keys.append(key) or Counted(stream(*key)))
+    unit_root_critical_table(n=(300, 1000, 2500), reps=1000, seed=2)
+    assert keys == [(2, 1)]
+    assert sum(drawn) == 2500 * 1000
+
+
+@pytest.mark.parametrize("bad, error", [(19, InvalidSeries), (5, InvalidSeries)])
+def test_unit_root_batch_validates_every_size_before_drawing(monkeypatch, bad, error):
+    streams = []
+    monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
+    with pytest.raises(error):
+        unit_root_critical_table(n=(300, 1000, bad), reps=1000)
+    with pytest.raises(ValueError, match="reps >= 1000"):
+        unit_root_critical_table(n=(300, 1000), reps=999)
+    assert streams == []
+
+
+def test_unit_root_batch_raises_worker_error_and_joins_worker(monkeypatch):
+    score = baselines._unit_root_stats
+    calls = []
+
+    def failing_fifth(xs, work=None):
+        calls.append(xs.shape)
+        if len(calls) == 5:
+            raise DegenerateComponent("fifth batch")
+        return score(xs, work=work)
+
+    monkeypatch.setattr(baselines, "_unit_root_stats", failing_fifth)
+    threads = threading.active_count()
+    with pytest.raises(DegenerateComponent, match="fifth batch"):
+        unit_root_critical_table(n=(300, 1000), reps=4000)
+    # Each chunk of 32 walks of 1000 scores 106 or 107 walks of 300, then
+    # the 32 walks of 1000; nothing is scored after the error.
+    assert calls == [(106, 300), (32, 1000), (107, 300), (32, 1000), (107, 300)]
+    assert threading.active_count() == threads

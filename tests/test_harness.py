@@ -307,14 +307,14 @@ def test_mixing_failure_lands_on_its_own_replicate(monkeypatch):
     plan = small_plan(reps=20)
     clean = run_plan(plan).replicates
     bad_seed = replicate_seed(plan.master_seed, 0, 3)
-    draw_mixing = simgen._draw_mixing
+    draw_mixings = simgen._draw_mixings
 
-    def failing_draw(spec):
-        if spec.seed == bad_seed:
+    def failing_draw(batch):
+        if any(spec.seed == bad_seed for spec in batch):
             raise SingularMixing("forced")
-        return draw_mixing(spec)
+        return draw_mixings(batch)
 
-    monkeypatch.setattr(simgen, "_draw_mixing", failing_draw)
+    monkeypatch.setattr(simgen, "_draw_mixings", failing_draw)
     patched = run_plan(plan).replicates
     assert len(patched) == len(clean)
     for before, after in zip(clean, patched):
@@ -426,9 +426,9 @@ def test_fit_based_estimators_share_one_distance_per_rank(monkeypatch):
     calls = []
     distance = harness.dist_d1
 
-    def counted(a2, b2):
+    def counted(a2, b2, **factor):
         calls.append(next(k for k, panel in enumerate(panels) if np.array_equal(panel.b2, b2)))
-        return distance(a2, b2)
+        return distance(a2, b2, **factor)
 
     monkeypatch.setattr(harness, "dist_d1", counted)
     report = run_plan(plan)
@@ -455,14 +455,14 @@ def test_shared_distance_error_fails_every_fit_based_record(monkeypatch):
     distance = harness.dist_d1
     raised = []
 
-    def failing(a2, b2):
+    def failing(a2, b2, **factor):
         # Only the fit-based bases (trailing eigenvectors) of replicate 5
         # raise; its johansen basis is scored as usual.
         width = np.shape(a2)[1]
         if np.array_equal(b2, bad.b2) and np.array_equal(a2, vectors[:, vectors.shape[1] - width:]):
             raised.append(width)
             raise SingularBasis("forced")
-        return distance(a2, b2)
+        return distance(a2, b2, **factor)
 
     monkeypatch.setattr(harness, "dist_d1", failing)
     patched = run_plan(plan).replicates
@@ -475,6 +475,66 @@ def test_shared_distance_error_fails_every_fit_based_record(monkeypatch):
             assert after == replace(before, r_est=None, dist=None, error="SingularBasis")
         else:
             assert after == before
+
+
+def test_rank_deficient_true_basis_fails_only_its_own_replicate(monkeypatch):
+    # Replicate 3's b2 loses rank inside the batch: it carries no factor,
+    # so its dist_d1 calls factor b2 and raise SingularBasis as they always
+    # did; every other replicate keeps its factor and its bytes.
+    from eigencoint import simgen
+
+    plan = small_plan(reps=20, scenarios=(small_template(p=5, r=2),),
+                      estimators=("ratio", "ic_omega2", "unitroot"), ur_reps=1000)
+    clean = run_plan(plan).replicates
+    bad_mixing = replicate_panels(plan)[3].mixing
+    basis = simgen.true_b2
+
+    def deficient(mixing, r):
+        b2s = basis(mixing, r)
+        for j in range(len(b2s)):
+            if np.array_equal(mixing[j], bad_mixing):
+                b2s[j, :, 1] = b2s[j, :, 0]
+        return b2s
+
+    monkeypatch.setattr(simgen, "true_b2", deficient)
+    panels = {}
+    distance = harness.dist_d1
+
+    def checked(a2, b2, *, b2_q=None):
+        panels.setdefault(b2.tobytes(), b2_q is None)
+        return distance(a2, b2, b2_q=b2_q)
+
+    monkeypatch.setattr(harness, "dist_d1", checked)
+    patched = run_plan(plan).replicates
+    assert len(patched) == len(clean)
+    assert sorted(panels.values()) == [False] * 19 + [True]
+    for before, after in zip(clean, patched):
+        if after.replicate == 3:
+            assert (after.r_est, after.dist, after.error) == (None, None, "SingularBasis")
+        else:
+            assert after == before
+
+
+def test_plan_builds_all_its_unit_root_tables_in_one_call(monkeypatch):
+    plan = small_plan(n_grid=(300, 120, 200), estimators=("ratio", "unitroot"), reps=3,
+                      ur_reps=1000)
+    clean = emit_replicates(run_plan(plan))
+    calls = []
+    build = harness.unit_root_critical_table
+
+    def recording(**kwargs):
+        calls.append(kwargs["n"])
+        tables = build(**kwargs)
+        for n, table in zip(kwargs["n"], tables):
+            alone = unit_root_critical_table(n=n, levels=(plan.level,), reps=plan.ur_reps,
+                                             seed=plan.master_seed)
+            assert table.values.tobytes() == alone.values.tobytes()
+            assert table.meta == alone.meta
+        return tables
+
+    monkeypatch.setattr(harness, "unit_root_critical_table", recording)
+    assert emit_replicates(run_plan(plan)) == clean
+    assert calls == [[120, 200, 300]]
 
 
 def test_all_estimators_run_in_one_plan():

@@ -19,6 +19,7 @@ from eigencoint.simgen import (
     gen_arima,
     gen_panel,
 )
+from eigencoint.subspace import true_b2
 
 
 def make_stream(seed):
@@ -719,3 +720,46 @@ def test_batch_rejects_specs_differing_beyond_seed(change):
     gen_panel([spec, ScenarioSpec.from_dict(dict(spec.to_dict(), seed=2))])
     with pytest.raises(ValueError, match="differ only in seed"):
         gen_panel([spec, other])
+
+
+@pytest.mark.parametrize("law", [DEFAULT_MIXING_LAW, {"kind": "orthogonal"},
+                                 {"kind": "identity"}])
+def test_each_panel_carries_the_factor_of_its_b2(law):
+    template = replace(preset_template("example2", 6, 2), mixing_law=law)
+    specs = [replace(template, n=100, seed=s) for s in range(6)]
+    for panel in gen_panel(specs) + [gen_panel(specs[0])]:
+        expected = np.linalg.qr(true_b2(panel.mixing, 2))[0]
+        assert panel.b2_q.shape == expected.shape
+        assert panel.b2_q.tobytes() == expected.tobytes()
+    spec = replace(specs[0], r=0, stationary_law=None,
+                   nonstationary_blocks=(dict(ARIMA121_BLOCK, count=6),))
+    assert gen_panel(spec).b2_q is None
+
+
+def test_batch_redraws_only_its_ill_conditioned_mixings(monkeypatch):
+    # With the ceiling at the median condition of the first draws, about
+    # half the members need a redraw, some more than one; each member still
+    # gets the matrix it gets alone, and the batch checks each round in one
+    # stacked call.
+    import eigencoint.simgen as simgen
+
+    specs = [replace(preset_template("example2", 6, 2), n=50, seed=s) for s in range(16)]
+    firsts = [np.linalg.cond(simgen.derive_stream(s.seed, 2, 0).uniform(-3, 3, (6, 6)))
+              for s in specs]
+    monkeypatch.setattr(simgen, "MIXING_COND_LIMIT", float(np.median(firsts)))
+    cond = np.linalg.cond
+    checked = []
+    monkeypatch.setattr(np.linalg, "cond", lambda a: checked.append(len(a)) or cond(a))
+    batch = gen_panel(specs)
+    assert checked[0] == 16 and 0 < checked[1] < 16 and len(checked) < 10
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    for spec, panel in zip(specs, batch):
+        assert panel.mixing.tobytes() == gen_panel(spec).mixing.tobytes()
+        assert np.linalg.cond(panel.mixing) <= simgen.MIXING_COND_LIMIT
+
+
+def test_batch_raises_singular_mixing_when_any_member_runs_out_of_draws():
+    spec = ScenarioSpec(p=3, r=3, n=50, stationary_law=UNIFORM_STATIONARY,
+                        mixing_law={"kind": "uniform", "low": 1.0 - 1e-13, "high": 1.0 + 1e-13})
+    with pytest.raises(SingularMixing, match="seed 5"):
+        gen_panel([replace(spec, seed=s) for s in (5, 6)])
