@@ -10,92 +10,45 @@ and the trailing eigenvectors span the estimated cointegration space.
 Companion modules generate the simulation designs used to benchmark the
 method, run Johansen trace-test and sequential unit-root baselines, and
 drive seeded Monte Carlo experiments.
+
+``import eigencoint`` loads no submodule but :mod:`eigencoint.errors`: each
+public name, and each submodule, is imported on first access (PEP 562).
 """
+
+from importlib import import_module
+
+from . import errors
 
 __version__ = "0.1.0"
 
-from . import errors
-from .linalg import EigenSystem, eigh_desc, solve_spd, symmetrize
-from .covstack import LagCovStack, as_panel, build_stack
-from .ranksel import (
-    CointFit,
-    PenaltySpec,
-    fit,
-    penalty,
-    rank_ic,
-    rank_ratio,
-    rank_ratio_fractional,
-    split,
-)
-from .subspace import dist_d, dist_d1, true_b2
-from .simgen import (
-    GeneratedPanel,
-    ScenarioSpec,
-    frac_coeffs,
-    gen_arfima,
-    gen_arima,
-    gen_panel,
-)
-from .baselines import (
-    CriticalTable,
-    TraceResult,
-    johansen_trace,
-    sequential_unit_root,
-    trace_critical_table,
-    unit_root_critical_table,
-    unit_root_stat,
-)
-from .harness import (
-    ExperimentPlan,
-    ExperimentReport,
-    emit_replicates,
-    emit_report,
-    load_plan,
-    preset_plan,
-    preset_template,
-    run_plan,
-)
+#: Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "linalg": ("EigenSystem", "eigh_desc", "solve_spd", "symmetrize"),
+    "covstack": ("LagCovStack", "as_panel", "build_stack"),
+    "ranksel": ("CointFit", "PenaltySpec", "fit", "penalty", "rank_ic", "rank_ratio",
+                "rank_ratio_fractional", "split"),
+    "subspace": ("dist_d", "dist_d1", "true_b2"),
+    "simgen": ("GeneratedPanel", "ScenarioSpec", "frac_coeffs", "gen_arfima", "gen_arima",
+               "gen_panel"),
+    "baselines": ("CriticalTable", "TraceResult", "johansen_trace", "sequential_unit_root",
+                  "trace_critical_table", "unit_root_critical_table", "unit_root_stat"),
+    "harness": ("ExperimentPlan", "ExperimentReport", "emit_replicates", "emit_report",
+                "load_plan", "preset_plan", "preset_template", "run_plan"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "errors",
-    "EigenSystem",
-    "eigh_desc",
-    "solve_spd",
-    "symmetrize",
-    "LagCovStack",
-    "as_panel",
-    "build_stack",
-    "CointFit",
-    "PenaltySpec",
-    "fit",
-    "penalty",
-    "rank_ic",
-    "rank_ratio",
-    "rank_ratio_fractional",
-    "split",
-    "dist_d",
-    "dist_d1",
-    "true_b2",
-    "GeneratedPanel",
-    "ScenarioSpec",
-    "frac_coeffs",
-    "gen_arfima",
-    "gen_arima",
-    "gen_panel",
-    "CriticalTable",
-    "TraceResult",
-    "johansen_trace",
-    "sequential_unit_root",
-    "trace_critical_table",
-    "unit_root_critical_table",
-    "unit_root_stat",
-    "ExperimentPlan",
-    "ExperimentReport",
-    "emit_replicates",
-    "emit_report",
-    "load_plan",
-    "preset_plan",
-    "preset_template",
-    "run_plan",
-]
+__all__ = ["__version__", "errors", *_OWNER]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

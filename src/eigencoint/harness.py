@@ -182,7 +182,12 @@ class ExperimentPlan:
                     raise ValueError(f"scenario {s.name!r} sets {key}; a plan's {owner} sets it")
             for n in self.n_grid:
                 replace(s, n=n)
-        # Each (scenario, n, estimator) names one report row.
+        # Each (scenario, n, estimator) names one report row, and the CSV
+        # reports write the scenario name unquoted.
+        for s in scenarios:
+            if not isinstance(s.name, str) or any(c in s.name for c in ',"\r\n'):
+                raise ValueError("scenario names must be strings without ',', '\"', CR or LF, "
+                                 f"got {s.name!r}")
         for label, values in (("scenario names", [s.name for s in scenarios]),
                               ("n_grid entries", list(self.n_grid)),
                               ("estimators", list(self.estimators))):

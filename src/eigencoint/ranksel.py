@@ -32,10 +32,10 @@ from .covstack import DEFAULT_J0, LagCovStack, _as_panels, build_stack
 from .errors import DegenerateSpectrum, InvalidRank
 from .linalg import EigenSystem, _take_columns, eigh_desc
 
-PENALTY_VARIANTS = ("omega1", "omega2", "omega3", "custom")
-
 #: Exponent on n in the named penalties omega1/omega2/omega3.
 _PENALTY_EXPONENTS = {"omega1": 1.25, "omega2": 1.5, "omega3": 2.0 / 3.0}
+
+PENALTY_VARIANTS = (*_PENALTY_EXPONENTS, "custom")
 
 
 @dataclass(frozen=True)

@@ -575,9 +575,11 @@ FRACTIONAL_SCENARIO = {
          "uniform law needs finite numbers low < high"),
         ({"scenarios": [dict(FRACTIONAL_SCENARIO, seed=7)]},
          "sets seed; a plan's master_seed sets it"),
+        ({"scenarios": [dict(FRACTIONAL_SCENARIO, name="p4,r1")]},
+         "scenario names must be strings without ',', '\"', CR or LF, got 'p4,r1'"),
     ],
     ids=["fractional_delta", "reps", "typo", "fractional_p", "string_law", "infinite_law",
-         "seed"],
+         "seed", "comma_name"],
 )
 def test_simulate_rejects_bad_plan_file_before_running(tmp_path, capsys, fields, message):
     plan_path = tmp_path / "plan.json"

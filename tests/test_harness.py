@@ -160,6 +160,9 @@ def test_template_order_properties():
         ({"n_grid": (200, 200.0)}, r"n_grid entries must be distinct.*\(repeated: \[200\]\)"),
         ({"estimators": ("ratio", "unitroot", "ratio")},
          r"estimators must be distinct.*\(repeated: \['ratio'\]\)"),
+        ({"scenarios": (replace(small_template(), name="p4,r1"),)},
+         r"scenario names must be strings without ',', '\"', CR or LF, got 'p4,r1'"),
+        ({"scenarios": (replace(small_template(), name=4),)}, "must be strings.*got 4"),
     ],
 )
 def test_plan_validation(overrides, match):
