@@ -35,9 +35,10 @@ def main():
     # random walks with 2 stationary AR(1) components, through a dense
     # random matrix.  The true cointegration rank is therefore 2.
     panel = gen_panel(replace(preset_template("example2", 6, 2), n=N, seed=SEED))
-    print(f"panel: n={panel.y.shape[0]}, p={panel.y.shape[1]}, true rank r={panel.true_r}")
+    y = panel.y  # mixed from the latents on each read: bind it once
+    print(f"panel: n={y.shape[0]}, p={y.shape[1]}, true rank r={panel.true_r}")
 
-    fitted = fit(panel.y, J0)
+    fitted = fit(y, J0)
     lam = fitted.eigen.values
     print("\neigenvalue profile (log10):", np.round(np.log10(lam), 1))
     print("nonstationary directions carry eigenvalues that grow like n^2;")

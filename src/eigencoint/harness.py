@@ -81,9 +81,13 @@ FAILURE_BUDGET = 0.05
 _CHUNK_FLOATS = 2**20
 
 #: Panel floats (``m x n x p``) one stacked fit may hold: a chunk's panels
-#: are fitted in sub-batches of this size.  The chunk's panels are alive
-#: while a sub-batch is fitted; at 2**16 and 2**17 the simulate benchmark's
-#: peak RSS rose from 71.4 to 74.3 MB in some processes, at 2**15 it did not.
+#: are fitted in sub-batches of this size.  The chunk's latent array is
+#: alive while a sub-batch is fitted.  Peak RSS of fresh ``simulate``
+#: processes of the benchmark's two designs (4 runs each, 2 cores, NumPy
+#: 2.4): ``mc_i2_small`` 50.2-50.4 MB at 2**14, 50.6-50.7 at 2**15,
+#: 51.6-51.7 at 2**16 and 53.0-53.2 at 2**17; ``mc_i1_johansen`` 45.5 at
+#: 2**14 and 2**15, 45.9 at 2**16 and 46.9 at 2**17.  2**14 would fit a
+#: p=10, n=1000 panel alone, for 0.3 MB.
 _FIT_FLOATS = 2**15
 
 
@@ -290,11 +294,12 @@ def _replicate_seed(master_seed: int, cell_index: int, replicate: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _estimate(plan, scenario, n, est, fitted, panel, tables):
+def _estimate(plan, scenario, n, est, fitted, y, tables):
     """Rank ``r_est`` and cointegration-space basis ``a2`` of estimator
-    ``est`` on one replicate; ``tables`` is :func:`run_plan`'s mapping."""
+    ``est`` on one replicate's observed panel ``y`` and its fit;
+    ``tables`` is :func:`run_plan`'s mapping."""
     if est == "johansen":
-        res = johansen_trace(panel.y, tables[est], plan.level)
+        res = johansen_trace(y, tables[est], plan.level)
         return res.selected_r, np.linalg.qr(res.directions[:, :res.selected_r])[0]
     if est == "ratio":
         r_est = rank_ratio(fitted.eigen, n)
@@ -311,19 +316,20 @@ def _estimate(plan, scenario, n, est, fitted, panel, tables):
     return r_est, split(fitted, r_est)[1]
 
 
-def _fit_each(panels, j0: int) -> list:
-    """``(fit, "")`` per panel from one stacked :func:`fit`; if that raises,
-    one fit per panel, with ``(None, error name)`` where a panel's fit fails."""
-    if not panels:
+def _fit_each(ys: np.ndarray, j0: int) -> list:
+    """``(fit, "")`` per panel of the ``(m, n, p)`` stack ``ys`` from one
+    stacked :func:`fit`; if that raises, one fit per panel, with
+    ``(None, error name)`` where a panel's fit fails."""
+    if not len(ys):
         return []
     try:
-        return [(fitted, "") for fitted in fit(np.stack([panel.y for panel in panels]), j0)]
+        return [(fitted, "") for fitted in fit(ys, j0)]
     except EigencointError:
         pass
     results = []
-    for panel in panels:
+    for y in ys:
         try:
-            results.append((fit(panel.y, j0), ""))
+            results.append((fit(y, j0), ""))
         except EigencointError as exc:
             results.append((None, type(exc).__name__))
     return results
@@ -338,7 +344,11 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
     that caused it.  The panels are then fitted in stacked sub-batches of
     at most :data:`_FIT_FLOATS` floats, with the same fallback
     (:func:`_fit_each`), and each sub-batch is estimated before the next
-    is fitted.  A replicate whose panel or fit fails has every estimator's
+    is fitted.  A sub-batch's observed panels are mixed straight into its
+    stack (:meth:`~eigencoint.simgen.GeneratedPanel.mix`, one product per
+    panel: a stacked product over the strided batch array would copy it),
+    and ``johansen`` reads its panel from that stack, so no ``y`` outlives
+    its sub-batch.  A replicate whose panel or fit fails has every estimator's
     record fail with that error.  The fit-based estimators (all but
     ``johansen``) estimate the basis ``split(fitted, r_est)[1]``, so those
     that choose the same ``r_est`` on a replicate share one
@@ -363,9 +373,13 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
     records = []
     for lo in range(0, len(specs), size):
         batch = range(lo, min(lo + size, len(specs)))
-        fits = iter(_fit_each([panels[i] for i in batch if not errors[i]], plan.j0))
+        good = [i for i in batch if not errors[i]]
+        ys = np.empty((len(good), n, scenario.p))
+        for y, i in zip(ys, good):
+            panels[i].mix(out=y)
+        fits = iter(zip(ys, _fit_each(ys, plan.j0)))
         for i in batch:
-            fitted, fit_error = (None, errors[i]) if errors[i] else next(fits)
+            y, (fitted, fit_error) = (None, (None, errors[i])) if errors[i] else next(fits)
             panel = panels[i]
             distances = {}  # basis key -> (dist, error)
             for est in plan.estimators:
@@ -373,7 +387,7 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
                 error = fit_error
                 if not error:
                     try:
-                        r_est, a2 = _estimate(plan, scenario, n, est, fitted, panel, tables)
+                        r_est, a2 = _estimate(plan, scenario, n, est, fitted, y, tables)
                     except EigencointError as exc:
                         error = type(exc).__name__
                     else:
@@ -391,9 +405,10 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
                     scenario=scenario.name, p=scenario.p, r=scenario.r, n=n,
                     estimator=est, replicate=ks[i], r_est=r_est, dist=dist, error=error,
                 ))
-        # The last fit is a view of its sub-batch's arrays: drop it before
-        # the next stacked fit, so that one sub-batch is held at a time.
-        fitted = None
+        # The fits and the last panel are views of this sub-batch's
+        # arrays: drop them before the next stacked fit, so that one
+        # sub-batch is held at a time.
+        ys = y = fits = fitted = None
     return records
 
 
@@ -422,7 +437,9 @@ def _aggregate_cell(
         freq_correct=float(np.mean([rec.r_est == scenario.r for rec in good])),
         dist_mean=float(dists.mean()),
         dist_sd=float(dists.std(ddof=1)) if dists.size > 1 else 0.0,
-        dist_quantiles={str(q): float(np.quantile(dists, q)) for q in _QUANTILES},
+        dist_quantiles={
+            str(q): float(v) for q, v in zip(_QUANTILES, np.quantile(dists, _QUANTILES))
+        },
         reps=plan.reps,
         failures=failures,
         seed=plan.master_seed,

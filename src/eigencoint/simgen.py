@@ -450,10 +450,11 @@ class ScenarioSpec:
 class GeneratedPanel:
     """A simulated panel together with its generating ground truth.
 
+    The observed panel is not stored: :attr:`y` mixes it from ``x`` on
+    each read, so a batch of panels holds one full-size array, its latents.
+
     Attributes
     ----------
-    y : ndarray, shape (n, p)
-        Observed panel, ``y_t = mixing @ x_t`` row by row.
     mixing : ndarray, shape (p, p)
     b2 : ndarray, shape (p, r)
         Last ``r`` columns of ``(mixing^-1)'`` — the true comparison basis.
@@ -472,12 +473,25 @@ class GeneratedPanel:
         and for a panel built by hand.
     """
 
-    y: np.ndarray
     mixing: np.ndarray
     b2: np.ndarray
     x: np.ndarray
     true_r: int
     b2_q: Optional[np.ndarray] = None
+
+    @property
+    def y(self) -> np.ndarray:
+        """Observed panel, shape ``(n, p)``: ``y_t = mixing @ x_t`` row by row.
+
+        Mixed anew on every read, into a new array, so writing to it does
+        not change the panel; bind it once to use it more than once.
+        """
+        return self.mix()
+
+    def mix(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``x @ mixing.T``, the one product that makes :attr:`y`, written
+        into ``out`` (an ``(n, p)`` float array) when given."""
+        return np.matmul(self.x, self.mixing.T, out=out)
 
 
 def _draw_mixings(batch) -> np.ndarray:
@@ -566,10 +580,9 @@ def gen_panel(specs):
 
     The batch's innovations are drawn into one ``(n, reps, p)`` array,
     which is filtered and integrated in place and becomes the latents:
-    each panel's ``x`` is its ``[:, j]`` view, and ``y`` is mixed from that
-    view, one product per panel.  That array and the ``y`` panels are the
-    only full-size arrays made, and holding any one panel keeps the whole
-    array alive.
+    each panel's ``x`` is its ``[:, j]`` view.  That array is the only
+    full-size array made (each panel's ``y`` is mixed from its view when
+    read), and holding any one panel keeps the whole array alive.
 
     The batch's small matrices are factored together, each stacked call
     bitwise the per-matrix one: one stacked SVD checks the condition of
@@ -616,11 +629,9 @@ def gen_panel(specs):
     mixings = _draw_mixings(batch)
     b2s = true_b2(mixings, spec.r)
     factors = _orthonormal_factors(b2s) if spec.r else [None] * reps
-    # One product per member: a stacked matmul over the strided batch
-    # array would copy it.
     panels = [
         GeneratedPanel(
-            y=x[:, j] @ mixings[j].T, mixing=mixings[j], b2=b2s[j], x=x[:, j], true_r=spec.r,
+            mixing=mixings[j], b2=b2s[j], x=x[:, j], true_r=spec.r,
             b2_q=q if isinstance(q, np.ndarray) else None,
         )
         for j, q in enumerate(factors)

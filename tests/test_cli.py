@@ -773,6 +773,34 @@ def test_crit_corrupt_cache_replaced(tmp_path):
         assert CriticalTable.from_dict(json.loads(out.read_text())).dims == (1,)
 
 
+def test_crit_notes_why_it_replaces_a_cache(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    assert main(crit_args(out, dim="1")) == 0
+    assert main(crit_args(out, dim="2")) == 0  # a compatible cache is merged quietly
+    assert "note:" not in capsys.readouterr().err
+    assert main(crit_args(out, dim="2", seed="1")) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1
+    assert f"note: replacing {out} instead of merging" in err
+    assert "its meta differs from this run's: seed 0 vs 1" in err
+    assert main(crit_args(out, dim="2", seed="1") + ["--level", "0.1"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1 and "its levels [0.05] are not this run's [0.1]" in err
+    meta = {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace"}
+    for tag, expected in (({}, "no sampler tag"), ({"sampler": "nested"}, "tag 'nested'")):
+        out.write_text(json.dumps({"dims": [3], "levels": [0.05], "values": [[30.0]],
+                                   "meta": dict(meta, **tag)}))
+        assert main(crit_args(out)) == 0
+        err = capsys.readouterr().err
+        assert err.count("note:") == 1 and expected in err and "older sampler" in err
+    for content in ("garbage", json.dumps({"dims": [1, 2], "levels": [0.05], "values": [[1.0]],
+                                            "meta": dict(meta, sampler="nested-dot")})):
+        out.write_text(content)
+        assert main(crit_args(out)) == 0
+        err = capsys.readouterr().err
+        assert err.count("note:") == 1 and "not a readable critical-value table" in err
+
+
 def test_crit_rejects_bad_arguments(tmp_path, capsys):
     out = tmp_path / "cache.json"
     assert main(crit_args(out, reps="500")) == 2

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -44,7 +46,7 @@ from eigencoint.ranksel import (
     rank_ratio_fractional,
     split,
 )
-from eigencoint.simgen import ScenarioSpec, gen_panel
+from eigencoint.simgen import GeneratedPanel, ScenarioSpec, gen_panel
 from eigencoint.subspace import dist_d1
 
 UNIFORM_STATIONARY = {"kind": "uniform", "low": -0.8, "high": 0.8}
@@ -385,10 +387,12 @@ def test_non_finite_panel_fails_only_its_own_records(monkeypatch):
     generate = harness.gen_panel
 
     def corrupting(specs):
+        # ``y`` is mixed from ``x`` on each read: a NaN in row 10 of ``x``
+        # makes row 10 of that panel's ``y`` NaN.
         panels = generate(specs)
         for spec, panel in zip(specs, panels):
             if spec.seed == bad_seed:
-                panel.y[10, 0] = np.nan
+                panel.x[10, 0] = np.nan
         return panels
 
     monkeypatch.setattr(harness, "gen_panel", corrupting)
@@ -400,6 +404,65 @@ def test_non_finite_panel_fails_only_its_own_records(monkeypatch):
         else:
             assert after == before
     assert all(c.failures == 1 for c in patched.cells)
+
+
+def test_chunk_holds_one_sub_batch_of_fits_at_a_time(monkeypatch):
+    # Four sub-batches of three panels in one chunk: when a stacked fit
+    # starts, no earlier sub-batch's x_hat stack is alive.
+    plan = small_plan(reps=12, estimators=("ratio", "unitroot"), ur_reps=1000)
+    monkeypatch.setattr(harness, "_FIT_FLOATS", 3 * 4 * 200)
+    stacked_fit = harness.fit
+    stacks, alive = [], []
+
+    def tracked(ys, j0):
+        alive.append(sum(ref() is not None for ref in stacks))
+        fits = stacked_fit(ys, j0)
+        stacks.append(weakref.ref(fits[0].x_hat.base))
+        return fits
+
+    monkeypatch.setattr(harness, "fit", tracked)
+    run_plan(plan)
+    assert alive == [0, 0, 0, 0]
+
+
+def test_chunk_peak_memory_is_about_one_latent_array_and_one_sub_batch():
+    # 100 replicates of example2 (10, 4) at n=1000 are one chunk: its
+    # latent array is 8 MB, and its sub-batches are 3 panels (240 kB).  A
+    # sub-batch's working set (its y stack, the centred copy, x_hat and the
+    # unit-root scratch) is a few sub-batch sizes; a y kept per panel would
+    # add another 8 MB.
+    plan = preset_plan("example2", cells=[(10, 4)], n_grid=(1000,), reps=100, ur_reps=1000)
+    cell = next(iter(plan.cells()))
+    tables = {"unitroot": {1000: unit_root_critical_table(
+        n=1000, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed)}}
+    harness._run_chunk(plan, cell, tables, range(4))  # lazy imports stay out of the peak
+    latent = 100 * 1000 * 10 * 8
+    sub_batch = harness._FIT_FLOATS // (1000 * 10) * 1000 * 10 * 8
+    tracemalloc.start()
+    try:
+        records = harness._run_chunk(plan, cell, tables, range(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 100 * len(plan.estimators)
+    assert peak <= latent + 8 * sub_batch
+
+
+def test_harness_mixes_each_panel_once(monkeypatch):
+    # The fit and johansen read one y per replicate, mixed into its
+    # sub-batch's stack.
+    plan = small_plan(reps=10, estimators=("ratio", "johansen"), crit_T=100, crit_reps=1000)
+    mix = GeneratedPanel.mix
+    mixed = []
+
+    def counted(self, out=None):
+        mixed.append(self)
+        return mix(self, out=out)
+
+    monkeypatch.setattr(GeneratedPanel, "mix", counted)
+    report = run_plan(plan)
+    assert len(mixed) == plan.reps
+    assert not any(rec.failed for rec in report.replicates)
 
 
 FIT_BASED_AND_JOHANSEN = ("ratio", "ic_omega1", "ic_omega2", "unitroot", "johansen")
@@ -630,6 +693,8 @@ def test_aggregate_excludes_failures_within_budget():
     assert cell.dist_mean == pytest.approx(dists.mean(), rel=1e-12)
     assert cell.dist_sd == pytest.approx(dists.std(ddof=1), rel=1e-12)
     assert set(cell.dist_quantiles) == {"0.05", "0.25", "0.5", "0.75", "0.95"}
+    for level, value in cell.dist_quantiles.items():
+        assert value == float(np.quantile(dists, float(level)))  # one call per level
 
 
 def test_aggregate_counts_wrong_ranks():

@@ -515,6 +515,17 @@ def test_panel_is_exactly_mixed():
     assert_allclose(panel.y, panel.x @ panel.mixing.T, rtol=0, atol=1e-12)
 
 
+def test_y_is_mixed_anew_on_each_read():
+    panel = gen_panel(example2_spec())
+    y = panel.y
+    assert y is not panel.y
+    out = np.empty_like(y)
+    assert panel.mix(out=out) is out
+    assert out.tobytes() == y.tobytes() == (panel.x @ panel.mixing.T).tobytes()
+    y[0] = np.nan  # a write to one read does not reach the panel
+    assert np.all(np.isfinite(panel.y))
+
+
 def test_default_mixing_entries_in_range():
     panel = gen_panel(example2_spec())
     assert np.all(np.abs(panel.mixing) <= 3.0)
@@ -703,6 +714,21 @@ def test_batch_peak_memory_is_about_two_panel_sets():
         tracemalloc.stop()
     assert peak <= 2.25 * sum(panel.y.nbytes for panel in panels)
     assert all(panel.x.base is panels[0].x.base is not None for panel in panels)
+
+
+def test_batch_peak_memory_is_about_one_panel_set():
+    # Each panel's ``y`` is mixed when it is read, so the batch array (the
+    # latents) is the only full-size array a batch makes.
+    specs = [replace(preset_template("example2", 10, 4), n=1000, seed=s) for s in range(100)]
+    gen_panel(specs[:2])  # lazy imports inside NumPy stay out of the peak
+    tracemalloc.start()
+    try:
+        panels = gen_panel(specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * panels[0].x.base.nbytes
+    assert panels[0].x.base.nbytes == 100 * 1000 * 10 * 8
 
 
 @pytest.mark.parametrize(
