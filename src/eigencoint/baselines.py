@@ -2,11 +2,15 @@
 
 Both baselines use critical values simulated inside the package (from seeded
 streams recorded in the table metadata) rather than hard-coded external
-tables, so every reported number is reproducible from seeds alone.  One
-builder, keyed by statistic, makes both tables, and the unit-root table is
-the ``dims=(1,)`` case.  The trace table scores every dimension from one
-nested draw: column ``c`` of each repetition comes from
-``derive_stream(seed, c)``, and dimension ``d`` uses columns ``1..d``.
+tables, so every reported number is reproducible from seeds alone.  Each
+table has one plain function, :func:`trace_critical_table` and
+:func:`unit_root_critical_table`: it checks its own arguments (the checks
+both share in one helper), calls its sampler, and turns the samples into
+quantiles through one small helper.  The trace table scores every
+dimension from one nested draw: column ``c`` of each repetition comes from
+``derive_stream(seed, c)``, and dimension ``d`` uses columns ``1..d``.  The
+unit-root table reads the one stream ``derive_stream(seed, 1)``, and a list
+of lengths is served by one pass of it.
 
 Trace test
 ----------
@@ -297,26 +301,31 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     return sample
 
 
-def _check_table_args(statistic: str, dims, levels, T: int, reps: int, seed: int) -> None:
-    """Raise on any argument :func:`_critical_table` rejects; for
-    ``"unit_root"``, ``T`` is the series length ``n``."""
-    for dim in dims:
-        if dim < 1:
-            raise ValueError(f"need dim >= 1, got {dim}")
+def _check_table_args(levels, check_size, size: int, reps: int, seed: int) -> None:
+    """Raise on an argument either table rejects, in the order levels,
+    ``check_size(size)`` (the trace ``T`` or the unit-root ``n``), reps,
+    seed."""
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
-    if statistic == "trace":
-        if T < 100:
-            raise ValueError(f"need T >= 100, got {T}")
-    elif statistic == "unit_root":
-        _check_unit_root_n(T)
-    else:
-        raise ValueError(f"unknown statistic {statistic!r}; expected 'trace' or 'unit_root'")
+    check_size(size)
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
+
+
+def _check_trace_T(T: int) -> None:
+    if T < 100:
+        raise ValueError(f"need T >= 100, got {T}")
+
+
+def _quantile_table(samples, dims, levels, quantiles, meta: dict) -> CriticalTable:
+    """The table whose row ``i`` holds the ``quantiles`` of ``samples[i]``."""
+    values = np.empty((len(dims), len(levels)))
+    for i, sample in enumerate(samples):
+        values[i] = np.quantile(sample, quantiles)
+    return CriticalTable(dims=dims, levels=levels, values=values, meta=meta)
 
 
 def trace_critical_table(
@@ -325,63 +334,30 @@ def trace_critical_table(
 ) -> CriticalTable:
     """Simulate trace critical values for several dimensions at once.
 
-    The table's dims are ``dims`` sorted ascending with repeats dropped.
-    Every dimension and level, and the seed, are validated before any
+    The table's dims are ``dims`` sorted ascending with repeats dropped, and
+    it stores upper-tail (``1 - level``) quantiles.  Every dimension, then
+    every level, ``T``, ``reps`` and the seed are validated before any
     simulation starts.  All dims are then scored from one nested draw
-    (:func:`_trace_stat_sample`): column ``c`` of each repetition comes from
-    the stream ``derive_stream(seed, c)``, and dim ``d`` uses columns
-    ``1..d``.  A row therefore depends only on ``(seed, T, reps, d)``, so a
-    table built for dims 1..8 agrees exactly with one built for dims 1..3
-    under the same seed.  Values increase with dimension at fixed level.
-    ``meta["sampler"]`` is ``"nested-dot"``, so that a table cached by an
-    earlier sampler (untagged, or ``"nested"``, whose products rounded
-    differently) never merges with one built by this one.
-    """
-    return _critical_table("trace", dims, levels, T, reps, seed)
-
-
-def _critical_table(statistic: str, dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
-    """The one table of :func:`_critical_tables` at inner length ``T``."""
-    (table,) = _critical_tables(statistic, dims, levels, (T,), reps, seed)
-    return table
-
-
-def _critical_tables(statistic: str, dims, levels, Ts, reps: int, seed: int) -> list:
-    """One ``"trace"`` or ``"unit_root"`` table per inner length in ``Ts``,
-    as the public wrappers document.
-
-    Every argument, each length of ``Ts`` included, is checked before the
-    first draw.  The samplers are looked up at call time, so they can be
-    wrapped.  The trace sampler takes ``(dims, T, reps, seed)`` and returns
-    one row of ``reps`` statistics per dim, once per ``T``; the unit-root
-    sampler takes the ascending distinct lengths and returns one row per
-    length from one pass of its stream.  Trace tables store upper-tail
-    (``1 - level``) quantiles, unit-root tables lower-tail (``level``) ones.
+    (:func:`_trace_stat_sample`, looked up at call time): column ``c`` of
+    each repetition comes from the stream ``derive_stream(seed, c)``, and
+    dim ``d`` uses columns ``1..d``.  A row therefore depends only on
+    ``(seed, T, reps, d)``, so a table built for dims 1..8 agrees exactly
+    with one built for dims 1..3 under the same seed.  Values increase with
+    dimension at fixed level.  ``meta["sampler"]`` is ``"nested-dot"``, so
+    that a table cached by an earlier sampler (untagged, or ``"nested"``,
+    whose products rounded differently) never merges with one built by this
+    one.
     """
     dims = tuple(sorted({int(d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
-    for T in Ts:
-        _check_table_args(statistic, dims, levels, T, reps, seed)
-    if statistic == "trace":
-        quantiles, tag = [1.0 - lv for lv in levels], {"sampler": "nested-dot"}
-        samples = {T: _trace_stat_sample(dims, T, reps, seed) if dims else () for T in Ts}
-    else:
-        quantiles, tag = list(levels), {}
-        lengths = sorted(set(Ts))
-        samples = dict(zip(lengths, _unit_root_stat_sample(lengths, reps, seed)[:, None]
-                           if lengths else ()))
-    tables = []
-    for T in Ts:
-        values = np.empty((len(dims), len(levels)))
-        for i, sample in enumerate(samples[T]):
-            values[i] = np.quantile(sample, quantiles)
-        tables.append(CriticalTable(
-            dims=dims,
-            levels=levels,
-            values=values,
-            meta={"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": statistic, **tag},
-        ))
-    return tables
+    for dim in dims:
+        if dim < 1:
+            raise ValueError(f"need dim >= 1, got {dim}")
+    _check_table_args(levels, _check_trace_T, T, reps, seed)
+    samples = _trace_stat_sample(dims, T, reps, seed) if dims else ()
+    meta = {"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": "trace",
+            "sampler": "nested-dot"}
+    return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +568,11 @@ def unit_root_critical_table(
     """Simulate the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the same length ``n`` as the series
-    to be tested; the table stores lower-tail (``level``) quantiles.  It is
-    the ``dims=(1,)`` table of the shared builder, so its walks come from
-    the one stream ``derive_stream(seed, 1)``, read from its start
-    (:func:`_unit_root_stat_sample`), and its values are bitwise those of
-    one walk at a time.
+    to be tested; the table has ``dims=(1,)`` and stores lower-tail
+    (``level``) quantiles.  Its walks come from the one stream
+    ``derive_stream(seed, 1)``, read from its start
+    (:func:`_unit_root_stat_sample`, looked up at call time), and its
+    values are bitwise those of one walk at a time.
 
     ``n`` may also be a sequence of lengths, the way :func:`gen_panel
     <eigencoint.simgen.gen_panel>` takes a list of specs.  The result is
@@ -606,7 +582,7 @@ def unit_root_critical_table(
     table needs, serves every length.  An empty sequence gives ``[]``.
 
     Every argument, each length included, is validated before the first
-    draw.
+    draw: per length, the levels, then ``n``, ``reps`` and the seed.
 
     Raises
     ------
@@ -615,9 +591,19 @@ def unit_root_critical_table(
     InvalidSeries
         A length below 20, as :func:`unit_root_stat` would raise.
     """
-    if np.ndim(n) == 0:
-        return _critical_table("unit_root", (1,), levels, n, reps, seed)
-    return _critical_tables("unit_root", (1,), levels, tuple(n), reps, seed)
+    sizes = (n,) if np.ndim(n) == 0 else tuple(n)
+    levels = tuple(float(lv) for lv in levels)
+    for size in sizes:
+        _check_table_args(levels, _check_unit_root_n, size, reps, seed)
+    lengths = sorted(set(sizes))
+    samples = dict(zip(lengths, _unit_root_stat_sample(lengths, reps, seed) if lengths else ()))
+    tables = [
+        _quantile_table([samples[size]], (1,), levels, list(levels),
+                        {"T": int(size), "reps": int(reps), "seed": int(seed),
+                         "statistic": "unit_root"})
+        for size in sizes
+    ]
+    return tables[0] if np.ndim(n) == 0 else tables
 
 
 def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
@@ -630,60 +616,54 @@ def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
     length reads the same stream from its start, and one pass serves all
     of them.  The calling thread draws the stream in flat chunks of
     ``m = _chunk_reps(N)`` walks of the largest length ``N``, while one
-    worker thread scores the previous chunk (:func:`_draw_and_score`).  For
-    each length that still needs walks, the worker cumsums every walk that
-    the chunk completes into one ``(k, n)`` walk buffer and scores it with
-    :func:`_unit_root_stats`.  A walk that straddles two chunks has its
-    first steps copied out of the earlier chunk, into that length's own
-    length-``n`` buffer, before the worker hands the chunk back.  Each
-    walk's arithmetic does not depend on its chunk or on the other
+    worker thread scores the previous chunk (:func:`_draw_and_score`).
+
+    Each length keeps one carry: the steps of its walk that the chunks so
+    far leave unfinished.  For each length that still needs walks, the
+    worker prepends its carry to the chunk, cumsums every whole walk into
+    one ``(k, n)`` walk buffer, scores it with :func:`_unit_root_stats` and
+    copies out the remainder as the new carry.  A chunk holds at least
+    ``N`` floats, so ``k >= 1`` until a length has all ``reps`` walks; from
+    then on it is skipped, so its carry does not grow with later chunks.
+    Each walk's arithmetic does not depend on its chunk or on the other
     lengths, so each row is bitwise that of a per-walk loop, whatever the
     chunk size or the thread timing.
 
-    Every buffer is allocated before the first draw: two ``(m, N)`` slots
-    that the chunks are drawn into in turn (``standard_normal(out=...)``
-    gives the bits of ``standard_normal((k, N))``), and one walk buffer and
-    one scorer workspace, each sized for the largest ``(k, n)`` batch a
-    chunk can complete and shared by every length.  Two slots suffice
-    because :func:`_draw_and_score` waits for chunk ``k``'s score before it
-    draws chunk ``k + 2``.
+    The chunks are drawn into two ``(m, N)`` slots in turn
+    (``standard_normal(out=...)`` gives the bits of ``standard_normal((k,
+    N))``); two suffice because :func:`_draw_and_score` waits for chunk
+    ``k``'s score before it draws chunk ``k + 2``.  The slots, one walk
+    buffer and one scorer workspace are allocated before the first draw;
+    the last two are sized for the largest ``(k, n)`` batch a chunk can
+    complete and shared by every length.
     """
     N = ns[-1]
     rng = derive_stream(seed, 1)
     sample = np.empty((len(ns), reps))
     m = min(reps, _chunk_reps(N))
     slots = cycle(np.empty((2, m, N)))
-    # A chunk of m * N floats, after a carried head of < n, completes at
-    # most this many walks of length n.
+    # A chunk of m * N floats, after a carry of < n, completes at most this
+    # many walks of length n.
     most = [min(reps, (m * N + n - 1) // n) for n in ns]
     walks = np.empty(max(k * n for k, n in zip(most, ns)))
     work = np.empty((3, max(k * (n - 1) for k, n in zip(most, ns))))
-    heads = [np.empty(n) for n in ns]
-    held = [0] * len(ns)  # steps of the straddling walk already in heads[i]
+    carry = [np.empty(0)] * len(ns)
     done = [0] * len(ns)
 
     def draw(k: int) -> np.ndarray:
         return rng.standard_normal(out=next(slots)[:k])
 
     def score(steps: np.ndarray, start: int) -> None:
-        flat = steps.reshape(-1)
         for i, n in enumerate(ns):
-            t = held[i]
-            k = min((t + flat.size) // n, reps - done[i])
-            if k == 0:
+            if done[i] == reps:
                 continue
+            flat = steps.reshape(-1)
+            if carry[i].size:  # never for N: a chunk holds whole walks of N
+                flat = np.concatenate((carry[i], flat))
+            k = min(flat.size // n, reps - done[i])
             xs = walks[:k * n].reshape(k, n)
-            used = 0
-            if t:
-                used = n - t
-                heads[i][t:] = flat[:used]
-                np.cumsum(heads[i], out=xs[0])
-            end = used + (k - (t > 0)) * n
-            np.cumsum(flat[used:end].reshape(-1, n), axis=1, out=xs[(t > 0):])
-            held[i] = 0
-            if done[i] + k < reps:
-                held[i] = flat.size - end
-                heads[i][:held[i]] = flat[end:]
+            np.cumsum(flat[:k * n].reshape(k, n), axis=1, out=xs)
+            carry[i] = flat[k * n:].copy()
             ws = work[:, :k * (n - 1)].reshape(3, k, n - 1)
             sample[i, done[i]:done[i] + k] = _unit_root_stats(xs, work=ws)
             done[i] += k

@@ -15,13 +15,13 @@ Four commands::
 ``simulate`` starts from the preset or the plan file and lets each flag
 given replace one plan field: ``--reps``, ``--seed``, ``--n`` and
 ``--estimators`` apply to both, ``--cells`` to presets only (with a plan
-file it exits 2).  ``--parallelism N`` is ignored (every replicate runs in
-this process); it is kept so existing command lines and plans still load.
+file it exits 2).  Every replicate runs in this process.
 
 Exit codes: 0 success, 2 usage or input error (also an output file that
-cannot be written), 3 numerical failure.  All numeric work and every
-default it uses belong to the library modules; this layer only parses
-arguments and files, formats output and writes it (:func:`_write`).
+cannot be written, or that is the input file or another output), 3
+numerical failure.  All numeric work and every default it uses belong to
+the library modules; this layer only parses arguments and files, formats
+output and writes it (:func:`_write`).
 """
 
 from __future__ import annotations
@@ -74,13 +74,20 @@ def _write(path: str, pieces: Iterable[str]) -> None:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(paths: Iterable[str]) -> None:
-    """Refuse an output path that is a directory or whose directory does not
-    exist, before any input is read or any table simulated; :func:`_write`
-    still maps whatever else goes wrong when the file is written."""
+def _check_writable(paths: Iterable[str], inputs: Iterable[str] = ()) -> None:
+    """Refuse an output path that is a directory, whose directory does not
+    exist, or that names the same file as an input or another output (after
+    ``os.path.realpath``), before any input is read or any table simulated;
+    :func:`_write` still maps whatever else goes wrong when the file is
+    written."""
+    taken = {os.path.realpath(path): f"the input {path}" for path in inputs}
     for path in paths:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise _InputError(f"cannot write {path}: not a file in an existing directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise _InputError(f"cannot write {path}: it is also {taken[real]}")
+        taken[real] = f"the output {path}"
 
 
 def _read_panel_csv(path: str) -> np.ndarray:
@@ -187,7 +194,7 @@ def cmd_analyze(args) -> int:
         raise _InputError(str(exc)) from exc
     out = args.out or os.path.splitext(args.input)[0] + "_report.json"
     xhat_path = os.path.splitext(out)[0] + "_xhat.csv"
-    _check_writable((out, xhat_path))
+    _check_writable((out, xhat_path), inputs=(args.input,))
 
     y = _read_panel_csv(args.input)
     n, p = y.shape
@@ -266,7 +273,7 @@ def cmd_simulate(args) -> int:
             data = {"preset": args.preset}
         else:
             data = load_plan(args.plan).to_dict()
-        flags = {"reps": args.reps, "master_seed": args.seed, "parallelism": args.parallelism}
+        flags = {"reps": args.reps, "master_seed": args.seed}
         if args.n:
             flags["n_grid"] = [int(v) for v in args.n.split(",")]
         if args.estimators:
@@ -279,7 +286,8 @@ def cmd_simulate(args) -> int:
         raise _InputError(f"invalid plan: {exc}") from exc
     out = args.out or f"simulation_report.{args.format}"
     written = [path for path in (out, args.replicates_out) if path]
-    _check_writable(written)  # the plan may run for minutes
+    # The plan may run for minutes, and its file was read above.
+    _check_writable(written, inputs=[args.plan] if args.plan else ())
 
     report = run_plan(plan)
     _print_tables(report)
@@ -381,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", help="sample sizes, e.g. '300,1000'")
     ps.add_argument("--estimators", help="comma list, e.g. 'ratio,ic_omega2'")
     ps.add_argument("--seed", type=int, help="master seed (default: the plan's master_seed)")
-    ps.add_argument("--parallelism", type=int, help="ignored; kept so existing "
-                    "command lines and plans still load")
     ps.add_argument("--out", default="", help="report path (default "
                     "simulation_report.<format>)")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -41,6 +41,8 @@ from .baselines import (
     DEFAULT_TRACE_T,
     DEFAULT_UNIT_ROOT_REPS,
     _check_table_args,
+    _check_trace_T,
+    _check_unit_root_n,
     _trace_min_n,
     johansen_trace,
     trace_critical_table,
@@ -218,9 +220,9 @@ class ExperimentPlan:
                     d_min = s.d_min if self.fractional_d_min is None else self.fractional_d_min
                     _check_fractional_args(d_min, self.fractional_delta)
             if est == "johansen":
-                _check_table_args("trace", (), (), self.crit_T, self.crit_reps, self.master_seed)
+                _check_table_args((), _check_trace_T, self.crit_T, self.crit_reps, self.master_seed)
             elif est == "unitroot":
-                _check_table_args("unit_root", (), (), n_min, self.ur_reps, self.master_seed)
+                _check_table_args((), _check_unit_root_n, n_min, self.ur_reps, self.master_seed)
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""

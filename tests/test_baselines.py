@@ -610,14 +610,6 @@ def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, ma
     assert streams == []
 
 
-def test_table_builder_rejects_unknown_statistic(monkeypatch):
-    streams = []
-    monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
-    with pytest.raises(ValueError, match="unknown statistic 'unitroot'"):
-        baselines._critical_table("unitroot", (1,), (0.05,), 300, 1000, 0)
-    assert streams == []
-
-
 def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
     score = baselines._unit_root_stats
     chunks = []
@@ -842,6 +834,29 @@ def test_unit_root_batch_sample_is_every_walk_scored_alone(ns, reps):
         expected = baselines._unit_root_stats(np.cumsum(steps, axis=1))
         assert sample[i].tobytes() == expected.tobytes()
         assert baselines._unit_root_stat_sample([n], reps, 12)[0].tobytes() == expected.tobytes()
+
+
+def test_unit_root_batch_skips_a_length_once_its_walks_are_scored(monkeypatch):
+    # Walks of 20 are done after 2 of the 63 chunks of 997; from then on the
+    # length is skipped, so no later chunk scores an empty batch of it (or
+    # grows its carry).
+    score = baselines._unit_root_stats
+    batches = []
+
+    def recorded(xs, work=None):
+        batches.append(xs.shape)
+        return score(xs, work=work)
+
+    monkeypatch.setattr(baselines, "_unit_root_stats", recorded)
+    ns, reps = (20, 997), 2000
+    sample = baselines._unit_root_stat_sample(list(ns), reps, 13)
+    for n in ns:
+        sizes = [k for k, length in batches if length == n]
+        assert sum(sizes) == reps
+        assert min(sizes) > 0
+    assert [k for k, length in batches if length == 20] == [1595, 405]
+    steps = derive_stream(13, 1).standard_normal((reps, 20))
+    assert sample[0].tobytes() == score(np.cumsum(steps, axis=1)).tobytes()
 
 
 def test_unit_root_batch_tables_read_the_stream_once(monkeypatch):

@@ -358,6 +358,64 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert sorted(os.listdir(tmp_path)) == []
 
 
+@pytest.mark.parametrize(
+    "input_name, out, clash",
+    [
+        ("in.csv", "in.csv", "in.csv"),  # the report would replace the panel
+        ("in.csv", "link.csv", "link.csv"),  # a symlink to the panel
+        ("in.csv", "sub/../in.csv", "sub/../in.csv"),
+        ("r_xhat.csv", "r.json", "r_xhat.csv"),  # x_hat would replace the panel
+    ],
+    ids=["same", "symlink", "dotdot", "xhat"],
+)
+def test_analyze_refuses_output_that_is_the_input(tmp_path, capsys, monkeypatch, input_name,
+                                                  out, clash):
+    for name in ("_read_panel_csv", "unit_root_critical_table", "fit"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(COINT_PAIR, input_name)
+    (tmp_path / "sub").mkdir()
+    os.symlink(input_name, "link.csv")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["analyze", "--input", input_name, "--methods", "ratio,unitroot", "--out", out]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {clash}: it is also the input {input_name}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / input_name).read_bytes() == COINT_PAIR.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source, outputs, message",
+    [
+        (["--preset", "example2", "--cells", "6,2"],
+         ["--out", "same.csv", "--replicates-out", "same.csv"],
+         "cannot write same.csv: it is also the output same.csv"),
+        (["--preset", "example2", "--cells", "6,2"],
+         ["--out", "r.csv", "--replicates-out", "./sub/../r.csv"],
+         "cannot write ./sub/../r.csv: it is also the output r.csv"),
+        (["--plan", "plan.json"], ["--out", "plan.json"],
+         "cannot write plan.json: it is also the input plan.json"),
+        (["--plan", "plan.json"], ["--out", "r.csv", "--replicates-out", "plan.json"],
+         "cannot write plan.json: it is also the input plan.json"),
+    ],
+    ids=["report-and-replicates", "dotdot", "plan-report", "plan-replicates"],
+)
+def test_simulate_refuses_outputs_that_clash(tmp_path, capsys, monkeypatch, source, outputs,
+                                             message):
+    monkeypatch.setattr(cli, "run_plan", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plan.json").write_text(json.dumps(small_plan_dict()))
+    (tmp_path / "sub").mkdir()
+    argv = ["simulate", *source, "--n", "300", "--estimators", "ratio", "--reps", "2", *outputs]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""  # refused before any replicate ran
+    assert sorted(os.listdir(tmp_path)) == ["plan.json", "sub"]
+    assert json.loads((tmp_path / "plan.json").read_text()) == small_plan_dict()
+
+
 def test_defaults_agree():
     # Every default that names the same value takes it from one place.
     import inspect
