@@ -6,11 +6,14 @@ tables, so every reported number is reproducible from seeds alone.  Each
 table has one plain function, :func:`trace_critical_table` and
 :func:`unit_root_critical_table`: it checks its own arguments (the checks
 both share in one helper), calls its sampler, and turns the samples into
-quantiles through one small helper.  The trace table scores every
-dimension from one nested draw: column ``c`` of each repetition comes from
-``derive_stream(seed, c)``, and dimension ``d`` uses columns ``1..d``.  The
-unit-root table reads the one stream ``derive_stream(seed, 1)``, and a list
-of lengths is served by one pass of it.
+quantiles through one small helper.  Each returns one table whose dims
+are its sizes: dimensions for the trace table, series lengths for the
+unit-root table.  The trace table scores every dimension from one nested
+draw: column ``c`` of each repetition comes from ``derive_stream(seed, c)``,
+and dimension ``d`` uses columns ``1..d``.  The unit-root table reads every
+length's walks from the start of the one stream ``derive_stream(seed, 1)``,
+so one pass serves every length.  So a row depends only on the seed, the
+repetitions and its size (and the trace ``T``).
 
 Trace test
 ----------
@@ -61,6 +64,7 @@ from .errors import (
     SingularMoments,
 )
 from .linalg import SPD_RTOL, eigh_desc, solve_spd
+from .subspace import _integer
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
 _MU_CEILING = 1.0 - 1e-12
@@ -108,8 +112,8 @@ class CriticalTable:
     Attributes
     ----------
     dims : tuple of int
-        Dimensions covered (ascending).  For the trace statistic this is
-        ``p - r0``; univariate statistics use ``(1,)``.
+        Sizes covered (ascending): the dimension ``p - r0`` for the trace
+        statistic, the series length ``n`` for the unit-root statistic.
     levels : tuple of float
         Test sizes, e.g. ``(0.05,)``.
     values : ndarray, shape (len(dims), len(levels))
@@ -117,7 +121,8 @@ class CriticalTable:
         ``1 - level`` quantile; lower-tail statistics (unit root) store the
         ``level`` quantile.
     meta : dict
-        Provenance: inner length ``T``, repetitions, seed, statistic name.
+        Provenance: repetitions, seed, statistic name (and the trace ``T``
+        and sampler tag).
     """
 
     dims: tuple
@@ -301,14 +306,15 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     return sample
 
 
-def _check_table_args(levels, check_size, size: int, reps: int, seed: int) -> None:
+def _check_table_args(levels, check_size, sizes, reps: int, seed: int) -> None:
     """Raise on an argument either table rejects, in the order levels,
-    ``check_size(size)`` (the trace ``T`` or the unit-root ``n``), reps,
-    seed."""
+    ``check_size`` of every size (the trace ``T``, or each unit-root
+    length), reps, seed."""
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
-    check_size(size)
+    for size in sizes:
+        check_size(size)
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
     if seed < 0:
@@ -335,7 +341,8 @@ def trace_critical_table(
     """Simulate trace critical values for several dimensions at once.
 
     The table's dims are ``dims`` sorted ascending with repeats dropped, and
-    it stores upper-tail (``1 - level``) quantiles.  Every dimension, then
+    it stores upper-tail (``1 - level``) quantiles.  Every dimension (a
+    whole number: ``2.0`` is ``2``), then
     every level, ``T``, ``reps`` and the seed are validated before any
     simulation starts.  All dims are then scored from one nested draw
     (:func:`_trace_stat_sample`, looked up at call time): column ``c`` of
@@ -348,12 +355,12 @@ def trace_critical_table(
     whose products rounded differently) never merges with one built by this
     one.
     """
-    dims = tuple(sorted({int(d) for d in dims}))
+    dims = tuple(sorted({_integer("dim", d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
     for dim in dims:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
-    _check_table_args(levels, _check_trace_T, T, reps, seed)
+    _check_table_args(levels, _check_trace_T, (T,), reps, seed)
     samples = _trace_stat_sample(dims, T, reps, seed) if dims else ()
     meta = {"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": "trace",
             "sampler": "nested-dot"}
@@ -564,46 +571,38 @@ def _unit_root_stats(
 
 def unit_root_critical_table(
     n, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
-) -> CriticalTable | list:
+) -> CriticalTable:
     """Simulate the null distribution of :func:`unit_root_stat`.
 
-    The null is a pure random walk of the same length ``n`` as the series
-    to be tested; the table has ``dims=(1,)`` and stores lower-tail
-    (``level``) quantiles.  Its walks come from the one stream
-    ``derive_stream(seed, 1)``, read from its start
-    (:func:`_unit_root_stat_sample`, looked up at call time), and its
-    values are bitwise those of one walk at a time.
+    The null is a pure random walk of the length of the series to be
+    tested.  ``n`` is one length or a sequence of them; the table's dims
+    are the lengths, sorted with repeats dropped as
+    :func:`trace_critical_table` sorts its dims, and it stores lower-tail
+    (``level``) quantiles.  Every length reads its walks from the start of
+    the one stream ``derive_stream(seed, 1)``, so one pass of it
+    (:func:`_unit_root_stat_sample`, looked up at call time) serves every
+    length, and a row depends only on ``(seed, reps, n)``: it is bitwise
+    that of one walk at a time, and that of a table for its length alone.
+    ``meta`` is ``{reps, seed, statistic}``.
 
-    ``n`` may also be a sequence of lengths, the way :func:`gen_panel
-    <eigencoint.simgen.gen_panel>` takes a list of specs.  The result is
-    then the list of their tables, in the order given, and each is bitwise
-    the table its length gets alone: every table reads the same stream
-    from its start, so one pass of it, as long as the largest length's
-    table needs, serves every length.  An empty sequence gives ``[]``.
-
-    Every argument, each length included, is validated before the first
-    draw: per length, the levels, then ``n``, ``reps`` and the seed.
+    Every argument is validated before the first draw, also for an empty
+    sequence: each length is a whole number (``300.0`` is ``300``), then
+    the levels, every length, ``reps`` and the seed.
 
     Raises
     ------
     ValueError
-        ``reps < 1000``, a level outside (0, 1), or ``seed < 0``.
+        A length that is not a whole number, ``reps < 1000``, a level
+        outside (0, 1), or ``seed < 0``.
     InvalidSeries
         A length below 20, as :func:`unit_root_stat` would raise.
     """
-    sizes = (n,) if np.ndim(n) == 0 else tuple(n)
+    lengths = tuple(sorted({_integer("n", size) for size in ((n,) if np.ndim(n) == 0 else n)}))
     levels = tuple(float(lv) for lv in levels)
-    for size in sizes:
-        _check_table_args(levels, _check_unit_root_n, size, reps, seed)
-    lengths = sorted(set(sizes))
-    samples = dict(zip(lengths, _unit_root_stat_sample(lengths, reps, seed) if lengths else ()))
-    tables = [
-        _quantile_table([samples[size]], (1,), levels, list(levels),
-                        {"T": int(size), "reps": int(reps), "seed": int(seed),
-                         "statistic": "unit_root"})
-        for size in sizes
-    ]
-    return tables[0] if np.ndim(n) == 0 else tables
+    _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
+    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else ()
+    meta = {"reps": int(reps), "seed": int(seed), "statistic": "unit_root"}
+    return _quantile_table(samples, lengths, levels, list(levels), meta)
 
 
 def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
@@ -679,7 +678,9 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
     The last column — the strongest stationarity candidate — is tested
     first; testing walks towards the first column and stops at the first
     component whose unit-root null is NOT rejected.  The number of
-    rejections is the estimated cointegration rank.
+    rejections is the estimated cointegration rank.  The critical value is
+    the row of ``crit`` for the panel's length; a table without it raises
+    ``ValueError``.
 
     Every column is scored in one :func:`unit_root_stat` call.  If that
     call raises (say, on a constant column), the columns are scored one at
@@ -691,9 +692,9 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
     ----------
     x_hat : array_like, shape (n, p)
     level : float
-        Test size; ``crit`` must cover it at dimension 1.
+        Test size; ``crit`` must cover it.
     crit : CriticalTable
-        Lower-tail table from :func:`unit_root_critical_table`.
+        Lower-tail table from :func:`unit_root_critical_table` covering ``n``.
 
     Returns
     -------
@@ -701,7 +702,7 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
         Estimated rank in ``0..p``.
     """
     x = as_panel(x_hat)
-    cv = crit.value(1, level)
+    cv = crit.value(x.shape[0], level)
     try:
         stats = unit_root_stat(x)
     except (InvalidSeries, DegenerateComponent):

@@ -220,9 +220,9 @@ class ExperimentPlan:
                     d_min = s.d_min if self.fractional_d_min is None else self.fractional_d_min
                     _check_fractional_args(d_min, self.fractional_delta)
             if est == "johansen":
-                _check_table_args((), _check_trace_T, self.crit_T, self.crit_reps, self.master_seed)
+                _check_table_args((), _check_trace_T, [self.crit_T], self.crit_reps, self.master_seed)
             elif est == "unitroot":
-                _check_table_args((), _check_unit_root_n, n_min, self.ur_reps, self.master_seed)
+                _check_table_args((), _check_unit_root_n, [n_min], self.ur_reps, self.master_seed)
 
     def cells(self):
         """Expanded (cell_index, scenario, n) grid, scenario-major."""
@@ -306,7 +306,7 @@ def _estimate(plan, scenario, n, est, fitted, y, tables):
     if est == "ratio":
         r_est = rank_ratio(fitted.eigen, n)
     elif est == "unitroot":
-        r_est = sequential_unit_root(fitted.x_hat, plan.level, tables[est][n])
+        r_est = sequential_unit_root(fitted.x_hat, plan.level, tables[est])
     elif est == "fractional_ratio":
         d_min = scenario.d_min if plan.fractional_d_min is None else plan.fractional_d_min
         r_est = rank_ratio_fractional(fitted.eigen, n, d_min, plan.fractional_delta)
@@ -318,20 +318,18 @@ def _estimate(plan, scenario, n, est, fitted, y, tables):
     return r_est, split(fitted, r_est)[1]
 
 
-def _fit_each(ys: np.ndarray, j0: int) -> list:
-    """``(fit, "")`` per panel of the ``(m, n, p)`` stack ``ys`` from one
-    stacked :func:`fit`; if that raises, one fit per panel, with
-    ``(None, error name)`` where a panel's fit fails."""
-    if not len(ys):
-        return []
+def _each(fn, batch) -> list:
+    """``(result, "")`` per item of ``batch`` from one ``fn(batch)`` call; if
+    that raises, one ``fn(item)`` call per item, with ``(None, error name)``
+    where an item fails."""
     try:
-        return [(fitted, "") for fitted in fit(ys, j0)]
+        return [(result, "") for result in fn(batch)]
     except EigencointError:
         pass
     results = []
-    for y in ys:
+    for item in batch:
         try:
-            results.append((fit(y, j0), ""))
+            results.append((fn(item), ""))
         except EigencointError as exc:
             results.append((None, type(exc).__name__))
     return results
@@ -341,12 +339,11 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
     """All estimator records for replicates ``ks`` of ``cell``, in order.
 
     ``cell`` is one ``(ci, scenario, n)`` entry of :meth:`ExperimentPlan.cells`.
-    The chunk's panels are generated together; if that raises, each
-    replicate regenerates its own panel, so an error lands on the replicate
-    that caused it.  The panels are then fitted in stacked sub-batches of
-    at most :data:`_FIT_FLOATS` floats, with the same fallback
-    (:func:`_fit_each`), and each sub-batch is estimated before the next
-    is fitted.  A sub-batch's observed panels are mixed straight into its
+    The chunk's panels are generated together, then fitted in stacked
+    sub-batches of at most :data:`_FIT_FLOATS` floats, each estimated
+    before the next is fitted; if a batch call raises, its items are redone
+    one by one (:func:`_each`), so an error lands on the replicate that
+    caused it.  A sub-batch's observed panels are mixed straight into its
     stack (:meth:`~eigencoint.simgen.GeneratedPanel.mix`, one product per
     panel: a stacked product over the strided batch array would copy it),
     and ``johansen`` reads its panel from that stack, so no ``y`` outlives
@@ -361,28 +358,19 @@ def _run_chunk(plan, cell, tables, ks: range) -> list:
         replace(scenario, n=n, seed=_replicate_seed(plan.master_seed, ci, k))
         for k in ks
     ]
-    errors = [""] * len(specs)
-    try:
-        panels = gen_panel(specs)
-    except EigencointError:
-        panels = [None] * len(specs)
-        for i, spec in enumerate(specs):
-            try:
-                panels[i] = gen_panel(spec)
-            except EigencointError as exc:
-                errors[i] = type(exc).__name__
+    panels = _each(gen_panel, specs)
     size = max(1, _FIT_FLOATS // (scenario.p * n))
     records = []
     for lo in range(0, len(specs), size):
         batch = range(lo, min(lo + size, len(specs)))
-        good = [i for i in batch if not errors[i]]
+        good = [i for i in batch if not panels[i][1]]
         ys = np.empty((len(good), n, scenario.p))
         for y, i in zip(ys, good):
-            panels[i].mix(out=y)
-        fits = iter(zip(ys, _fit_each(ys, plan.j0)))
+            panels[i][0].mix(out=y)
+        fits = iter(zip(ys, _each(lambda stack: fit(stack, plan.j0), ys)))
         for i in batch:
-            y, (fitted, fit_error) = (None, (None, errors[i])) if errors[i] else next(fits)
-            panel = panels[i]
+            panel, error = panels[i]
+            y, (fitted, fit_error) = (None, (None, error)) if error else next(fits)
             distances = {}  # basis key -> (dist, error)
             for est in plan.estimators:
                 r_est = dist = None
@@ -472,11 +460,10 @@ def run_plan(plan: ExperimentPlan) -> ExperimentReport:
             seed=plan.master_seed,
         )
     if "unitroot" in plan.estimators:
-        # One pass of the table's stream serves every sample size.
-        ns = sorted(set(plan.n_grid))
-        tables["unitroot"] = dict(zip(ns, unit_root_critical_table(
-            n=ns, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
-        )))
+        # One table for every cell: a row depends only on (seed, reps, n).
+        tables["unitroot"] = unit_root_critical_table(
+            n=plan.n_grid, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed
+        )
 
     all_cells = []
     all_records = []
@@ -661,17 +648,24 @@ def preset_plan(name: str, cells=None, **overrides) -> ExperimentPlan:
     ``cells``, ``n_grid``, and ``estimators`` default to the full benchmark
     grids (see :data:`PRESET_CELLS` etc.), also when given as None, and
     accept subsets for cheaper runs; every other :class:`ExperimentPlan`
-    field passes through ``overrides`` and defaults as on the plan.
+    field passes through ``overrides`` and defaults as on the plan.  A
+    malformed cell raises ``ValueError`` naming it.
     """
     if name not in PRESET_CELLS:
         raise ValueError(f"unknown preset {name!r}; expected {tuple(PRESET_CELLS)}")
-    cells = PRESET_CELLS[name] if cells is None else tuple(tuple(c) for c in cells)
+    shape = "(p, r, s)" if name == "example3" else "(p, r)"
+    scenarios = []
+    for cell in PRESET_CELLS[name] if cells is None else cells:
+        if np.ndim(cell) != 1 or len(cell) != len(shape.split(",")):
+            raise ValueError(f"{name} cells are {shape}, got {cell!r}")
+        try:
+            scenarios.append(preset_template(name, *cell))
+        except ValueError as exc:
+            raise ValueError(f"{name} cell {cell!r}: {exc}") from exc
     for key, grids in (("n_grid", PRESET_N_GRID), ("estimators", PRESET_ESTIMATORS)):
         if overrides.get(key) is None:
             overrides[key] = grids[name]
-    return ExperimentPlan(
-        scenarios=tuple(preset_template(name, *cell) for cell in cells), **overrides
-    )
+    return ExperimentPlan(scenarios=tuple(scenarios), **overrides)
 
 
 def load_plan(source) -> ExperimentPlan:
@@ -679,7 +673,8 @@ def load_plan(source) -> ExperimentPlan:
 
     Two shapes are accepted: a full plan (the :meth:`ExperimentPlan.to_dict`
     schema) or a preset reference
-    ``{"preset": "example2", "reps": 100, "cells": [[6, 2]], ...}``.
+    ``{"preset": "example2", "reps": 100, "cells": [[6, 2]], ...}``.  Either
+    raises ``ValueError`` naming the keys it does not know.
     """
     if isinstance(source, dict):
         data = source
@@ -693,5 +688,8 @@ def load_plan(source) -> ExperimentPlan:
     if "preset" in data:
         kwargs = dict(data)
         name = kwargs.pop("preset")
+        unknown = set(kwargs) - ({f.name for f in fields(ExperimentPlan)} - {"scenarios"} | {"cells"})
+        if unknown:
+            raise ValueError(f"unknown plan fields: {sorted(unknown)}")
         return preset_plan(name, **kwargs)
     return ExperimentPlan.from_dict(data)

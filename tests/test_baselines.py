@@ -136,6 +136,8 @@ def trace_quantile(T, reps, rng, level=0.05):
         ({"dim": 0}, "dim >= 1"),
         ({"T": 50}, "T >= 100"),
         ({"reps": 500}, "reps >= 1000"),
+        ({"dim": 2.5}, "dim must be an integer, got 2.5"),
+        ({"dim": True}, "dim must be an integer, got True"),
     ],
 )
 def test_sim_trace_critical_validates_arguments(kwargs, match):
@@ -487,7 +489,7 @@ def test_unit_root_table_deterministic():
     b = unit_root_critical_table(200, reps=1000, seed=3)
     assert_array_equal(a.values, b.values)
     assert a.meta["statistic"] == "unit_root"
-    assert a.dims == (1,)
+    assert a.dims == (200,)
 
 
 def test_unit_root_table_validates_reps():
@@ -598,6 +600,8 @@ def test_unit_root_table_rejects_short_series():
         ({"levels": (0.05, 0.0)}, ValueError, "level must lie in"),
         ({"seed": -1}, ValueError, "seed >= 0"),
         ({"reps": 999}, ValueError, "reps >= 1000"),
+        ({"n": 300.5}, ValueError, "n must be an integer, got 300.5"),
+        ({"n": [300, True]}, ValueError, "n must be an integer, got True"),
     ],
 )
 def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, match):
@@ -794,12 +798,13 @@ def test_sequential_rank_raises_on_constant_column_it_tests(ur_table):
         sequential_unit_root(x, 0.05, ur_table)
 
 
-def test_sequential_rank_rejects_constant_column(ur_table):
+def test_sequential_rank_rejects_constant_column():
     x = np.column_stack(
         [derive_stream(63).standard_normal(100), np.full(100, 1.0)]
     )
+    table = unit_root_critical_table(100, reps=1000, seed=0)
     with pytest.raises(DegenerateComponent):
-        sequential_unit_root(x, 0.05, ur_table)
+        sequential_unit_root(x, 0.05, table)
 
 
 @pytest.mark.parametrize(
@@ -812,13 +817,14 @@ def test_sequential_rank_rejects_constant_column(ur_table):
 )
 def test_unit_root_batch_tables_equal_the_per_size_tables(ns, reps):
     levels = (0.01, 0.05, 0.1, 0.5)
-    tables = unit_root_critical_table(n=list(ns), levels=levels, reps=reps, seed=11)
-    assert len(tables) == len(ns)
-    for n, table in zip(ns, tables):
+    table = unit_root_critical_table(n=list(ns), levels=levels, reps=reps, seed=11)
+    assert table.dims == tuple(sorted(set(ns)))
+    for n in ns:
         alone = unit_root_critical_table(n, levels=levels, reps=reps, seed=11)
-        assert table.values.tobytes() == alone.values.tobytes()
-        assert (table.dims, table.levels, table.meta) == (alone.dims, alone.levels, alone.meta)
-    assert unit_root_critical_table(n=(), reps=1000) == []
+        row = table.values[table.dims.index(n)]
+        assert row.tobytes() == alone.values[0].tobytes()
+        assert (table.levels, table.meta) == (alone.levels, alone.meta)
+    assert unit_root_critical_table(n=(), reps=1000).dims == ()
 
 
 @pytest.mark.parametrize("ns, reps", [((20, 21, 997), 2000), ((300, 1000, 2500), 1001)])
@@ -909,3 +915,66 @@ def test_unit_root_batch_raises_worker_error_and_joins_worker(monkeypatch):
     # the 32 walks of 1000; nothing is scored after the error.
     assert calls == [(106, 300), (32, 1000), (107, 300), (32, 1000), (107, 300)]
     assert threading.active_count() == threads
+
+
+def test_table_sizes_accept_whole_floats_and_numpy_integers():
+    trace = trace_critical_table(dims=(2,), T=100, reps=1000)
+    for dims in ((2.0,), (np.int64(2),)):
+        same = trace_critical_table(dims=dims, T=100, reps=1000)
+        assert same.dims == (2,) and type(same.dims[0]) is int
+        assert same.values.tobytes() == trace.values.tobytes()
+    unit_root = unit_root_critical_table(300, reps=1000)
+    for n in (300.0, np.int64(300), [np.int32(300), 300.0]):
+        same = unit_root_critical_table(n, reps=1000)
+        assert same.dims == (300,) and type(same.dims[0]) is int
+        assert same.values.tobytes() == unit_root.values.tobytes()
+
+
+def test_unit_root_table_rows_are_the_one_length_tables():
+    levels = (0.05, 0.1)
+    table = unit_root_critical_table([1000, 300], levels=levels, reps=1000, seed=5)
+    assert table.dims == (300, 1000)
+    assert table.meta == {"reps": 1000, "seed": 5, "statistic": "unit_root"}
+    for i, n in enumerate(table.dims):
+        alone = unit_root_critical_table(n, levels=levels, reps=1000, seed=5)
+        assert alone.dims == (n,)
+        assert table.values[i].tobytes() == alone.values[0].tobytes()
+        assert table.value(n, 0.1) == alone.value(n, 0.1)
+
+
+def test_unit_root_tables_of_one_length_merge_into_the_two_length_table():
+    both = unit_root_critical_table([300, 1000], reps=1000, seed=5)
+    merged = unit_root_critical_table(1000, reps=1000, seed=5).merged(
+        unit_root_critical_table(300, reps=1000, seed=5))
+    assert (merged.dims, merged.levels, merged.meta) == (both.dims, both.levels, both.meta)
+    assert merged.values.tobytes() == both.values.tobytes()
+    with pytest.raises(ValueError, match="different levels or meta"):
+        both.merged(unit_root_critical_table(300, reps=1001, seed=5))
+
+
+def test_sequential_unit_root_needs_a_table_for_the_panel_length(monkeypatch):
+    calls = []
+    stat = baselines.unit_root_stat
+    monkeypatch.setattr(baselines, "unit_root_stat", lambda *a: calls.append(1) or stat(*a))
+    table = unit_root_critical_table([300, 1000], reps=1000, seed=0)
+    noise = derive_stream(67).standard_normal((500, 2))
+    with pytest.raises(ValueError, match=r"no dimension 500 \(covers \(300, 1000\)\)"):
+        sequential_unit_root(noise, 0.05, table)
+    assert calls == []
+    assert sequential_unit_root(noise[:300], 0.05, table) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"reps": 5}, "reps >= 1000"),
+        ({"levels": (2.0,)}, "level must lie in"),
+        ({"seed": -1}, "seed >= 0"),
+    ],
+    ids=["reps", "levels", "seed"],
+)
+def test_unit_root_table_checks_its_arguments_for_no_lengths(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        unit_root_critical_table(n=[], **kwargs)
+    empty = unit_root_critical_table(n=[], reps=1000)
+    assert empty.dims == () and empty.values.shape == (0, 1)

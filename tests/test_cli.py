@@ -709,6 +709,7 @@ def test_simulate_needs_exactly_one_source(capsys):
         ["--preset", "example2", "--cells", "6,2", "--n", "15",
          "--estimators", "ratio,unitroot"],
         ["--preset", "example1", "--cells", "8,2", "--n", "15", "--estimators", "johansen"],
+        ["--preset", "example2", "--cells", "6"],
     ],
 )
 def test_simulate_rejects_bad_preset_arguments(tmp_path, capsys, argv_extra):
@@ -1012,3 +1013,12 @@ print(sorted(name for name in sys.modules if name.startswith('scipy')))
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def test_simulate_names_a_malformed_preset_cell(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["simulate", "--preset", "example2", "--cells", "6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid plan: example2 cells are (p, r), got [6]\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -433,8 +433,8 @@ def test_chunk_peak_memory_is_about_one_latent_array_and_one_sub_batch():
     # add another 8 MB.
     plan = preset_plan("example2", cells=[(10, 4)], n_grid=(1000,), reps=100, ur_reps=1000)
     cell = next(iter(plan.cells()))
-    tables = {"unitroot": {1000: unit_root_critical_table(
-        n=1000, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed)}}
+    tables = {"unitroot": unit_root_critical_table(
+        n=1000, levels=(plan.level,), reps=plan.ur_reps, seed=plan.master_seed)}
     harness._run_chunk(plan, cell, tables, range(4))  # lazy imports stay out of the peak
     latent = 100 * 1000 * 10 * 8
     sub_batch = harness._FIT_FLOATS // (1000 * 10) * 1000 * 10 * 8
@@ -589,18 +589,18 @@ def test_plan_builds_all_its_unit_root_tables_in_one_call(monkeypatch):
     build = harness.unit_root_critical_table
 
     def recording(**kwargs):
-        calls.append(kwargs["n"])
-        tables = build(**kwargs)
-        for n, table in zip(kwargs["n"], tables):
+        table = build(**kwargs)
+        calls.append(table.dims)
+        for i, n in enumerate(table.dims):
             alone = unit_root_critical_table(n=n, levels=(plan.level,), reps=plan.ur_reps,
                                              seed=plan.master_seed)
-            assert table.values.tobytes() == alone.values.tobytes()
+            assert table.values[i].tobytes() == alone.values[0].tobytes()
             assert table.meta == alone.meta
-        return tables
+        return table
 
     monkeypatch.setattr(harness, "unit_root_critical_table", recording)
     assert emit_replicates(run_plan(plan)) == clean
-    assert calls == [[120, 200, 300]]
+    assert calls == [(120, 200, 300)]
 
 
 def test_all_estimators_run_in_one_plan():
@@ -863,6 +863,26 @@ def test_load_plan_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown plan fields"):
         load_plan({"scenarios": [small_template().to_dict()], "n_grid": [100],
                    "estimators": ["ratio"], "warmup": 5})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"bogus": 1}, "unknown plan fields: ['bogus']"),
+        ({"scenarios": [], "warmup": 5}, "unknown plan fields: ['scenarios', 'warmup']"),
+        ({"cells": [[6]]}, "example2 cells are (p, r), got [6]"),
+        ({"cells": [[6, 2, 1]]}, "example2 cells are (p, r), got [6, 2, 1]"),
+        ({"cells": [6, 2]}, "example2 cells are (p, r), got 6"),
+        ({"cells": [[6, 7]]}, "example2 cell [6, 7]: need p >= 1 and 0 <= r <= p"),
+        ({"preset": "example3", "cells": [[6, 2]]}, "example3 cells are (p, r, s), got [6, 2]"),
+    ],
+    ids=["unknown", "scenarios", "short_cell", "long_cell", "flat_cells", "bad_cell",
+         "example3_pair"],
+)
+def test_load_plan_preset_reference_is_strict(fields, message):
+    with pytest.raises(ValueError) as raised:
+        load_plan({"preset": "example2", **fields})
+    assert str(raised.value).startswith(message)
 
 
 # The plan file shown in README.md, verbatim.
