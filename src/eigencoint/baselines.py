@@ -117,9 +117,9 @@ class CriticalTable:
     levels : tuple of float
         Test sizes, e.g. ``(0.05,)``.
     values : ndarray, shape (len(dims), len(levels))
-        Rejection boundaries.  Upper-tail statistics (trace) store the
-        ``1 - level`` quantile; lower-tail statistics (unit root) store the
-        ``level`` quantile.
+        Rejection boundaries (``ValueError`` unless finite and of this
+        shape).  Upper-tail statistics (trace) store the ``1 - level``
+        quantile; lower-tail statistics (unit root) the ``level`` one.
     meta : dict
         Provenance: repetitions, seed, statistic name (and the trace ``T``
         and sampler tag).
@@ -130,42 +130,62 @@ class CriticalTable:
     values: np.ndarray
     meta: dict
 
+    def __post_init__(self) -> None:
+        shape = (len(self.dims), len(self.levels))
+        if np.shape(self.values) != shape or not np.isfinite(self.values).all():
+            raise ValueError(f"need finite values of shape {shape}, got {self.values!r}")
+
     def value(self, dim: int, level: float) -> float:
         """Look up the critical value for ``(dim, level)``."""
         try:
             i = self.dims.index(dim)
         except ValueError:
-            raise ValueError(f"table has no dimension {dim} (covers {self.dims})")
+            size = "length" if self.meta.get("statistic") == "unit_root" else "dimension"
+            raise ValueError(f"table has no {size} {dim} (covers {self.dims})")
         close = [j for j, lv in enumerate(self.levels) if abs(lv - level) < 1e-12]
         if not close:
             raise ValueError(f"table has no level {level} (covers {self.levels})")
         return float(self.values[i, close[0]])
 
     def merged(self, other: "CriticalTable") -> "CriticalTable":
-        """Union of dimensions; requires identical levels and meta."""
-        if tuple(self.levels) != tuple(other.levels) or self.meta != other.meta:
-            raise ValueError("cannot merge tables with different levels or meta")
-        rows = {d: self.values[i] for i, d in enumerate(self.dims)}
-        rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
-        dims = tuple(sorted(rows))
-        values = np.array([rows[d] for d in dims], dtype=float)
-        values = values.reshape(len(dims), len(self.levels))  # (0, levels) without dims
-        return CriticalTable(dims=dims, levels=tuple(self.levels), values=values, meta=dict(self.meta))
+        """Union of dimensions, ``other``'s row where both have one.  Raises
+        ``ValueError`` naming the first difference: sampler tag, levels, meta."""
+        old, new = self.meta.get("sampler"), other.meta.get("sampler")
+        if old != new:
+            tag = "no sampler tag" if old is None else f"sampler tag {old!r}"
+            why = f"it has {tag}, from an older sampler than {new!r}"
+        elif tuple(self.levels) != tuple(other.levels):
+            why = f"its levels {list(self.levels)} are not this run's {list(other.levels)}"
+        elif self.meta != other.meta:
+            differ = [f"{key} {self.meta.get(key)!r} vs {other.meta.get(key)!r}"
+                      for key in sorted(self.meta.keys() | other.meta.keys(), key=str)
+                      if self.meta.get(key) != other.meta.get(key)]
+            why = f"its meta differs from this run's: {', '.join(differ)}"
+        else:
+            rows = {d: self.values[i] for i, d in enumerate(self.dims)}
+            rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
+            dims = tuple(sorted(rows))
+            values = np.array([rows[d] for d in dims], dtype=float)
+            values = values.reshape(len(dims), len(self.levels))  # (0, levels) without dims
+            return CriticalTable(dims, tuple(self.levels), values, dict(self.meta))
+        raise ValueError(f"cannot merge tables with different levels or meta: {why}")
 
     def to_dict(self) -> dict:
         return {
             "dims": [int(d) for d in self.dims],
             "levels": [float(lv) for lv in self.levels],
-            "values": [[float(v) for v in row] for row in np.atleast_2d(self.values)],
+            "values": [[float(v) for v in row] for row in self.values],
             "meta": self.meta,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CriticalTable":
+        """The table :meth:`to_dict` wrote; raises on anything else."""
+        values = np.asarray(data["values"], dtype=float)
         return cls(
             dims=tuple(int(d) for d in data["dims"]),
             levels=tuple(float(lv) for lv in data["levels"]),
-            values=np.asarray(data["values"], dtype=float),
+            values=values.reshape(0, len(data["levels"])) if values.shape == (0,) else values,
             meta=dict(data["meta"]),
         )
 
@@ -306,31 +326,33 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     return sample
 
 
-def _check_table_args(levels, check_size, sizes, reps: int, seed: int) -> None:
+def _check_table_args(levels, check_size, sizes, reps: int, seed: int) -> tuple:
     """Raise on an argument either table rejects, in the order levels,
     ``check_size`` of every size (the trace ``T``, or each unit-root
-    length), reps, seed."""
+    length), reps, seed.  ``reps``, like a size, must be a whole number
+    (``1000.0`` is ``1000``); returns the sizes and ``reps`` as ints."""
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
-    for size in sizes:
-        check_size(size)
+    sizes = tuple(check_size(size) for size in sizes)
+    reps = _integer("reps", reps)
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
+    return sizes, reps
 
 
-def _check_trace_T(T: int) -> None:
+def _check_trace_T(T: int) -> int:
+    T = _integer("T", T)
     if T < 100:
         raise ValueError(f"need T >= 100, got {T}")
+    return T
 
 
 def _quantile_table(samples, dims, levels, quantiles, meta: dict) -> CriticalTable:
     """The table whose row ``i`` holds the ``quantiles`` of ``samples[i]``."""
-    values = np.empty((len(dims), len(levels)))
-    for i, sample in enumerate(samples):
-        values[i] = np.quantile(sample, quantiles)
+    values = np.quantile(samples, quantiles, axis=1).T
     return CriticalTable(dims=dims, levels=levels, values=values, meta=meta)
 
 
@@ -360,9 +382,9 @@ def trace_critical_table(
     for dim in dims:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
-    _check_table_args(levels, _check_trace_T, (T,), reps, seed)
-    samples = _trace_stat_sample(dims, T, reps, seed) if dims else ()
-    meta = {"T": int(T), "reps": int(reps), "seed": int(seed), "statistic": "trace",
+    (T,), reps = _check_table_args(levels, _check_trace_T, (T,), reps, seed)
+    samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
+    meta = {"T": T, "reps": reps, "seed": int(seed), "statistic": "trace",
             "sampler": "nested-dot"}
     return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
 
@@ -513,9 +535,10 @@ def unit_root_stat(x, bandwidth: Optional[int] = None):
     return float(_unit_root_stats(x.reshape(1, -1), bandwidth)[0])
 
 
-def _check_unit_root_n(n: int) -> None:
+def _check_unit_root_n(n: int) -> int:
     if n < _UNIT_ROOT_MIN_N:
         raise InvalidSeries(f"need at least {_UNIT_ROOT_MIN_N} observations, got {n}")
+    return n
 
 
 def _unit_root_stats(
@@ -599,9 +622,9 @@ def unit_root_critical_table(
     """
     lengths = tuple(sorted({_integer("n", size) for size in ((n,) if np.ndim(n) == 0 else n)}))
     levels = tuple(float(lv) for lv in levels)
-    _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
-    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else ()
-    meta = {"reps": int(reps), "seed": int(seed), "statistic": "unit_root"}
+    lengths, reps = _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
+    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
+    meta = {"reps": reps, "seed": int(seed), "statistic": "unit_root"}
     return _quantile_table(samples, lengths, levels, list(levels), meta)
 
 

@@ -306,32 +306,6 @@ def _parse_dims(text: str):
     return tuple(int(v) for v in text.split(","))
 
 
-def _merged_with_cache(path: str, table: CriticalTable) -> tuple:
-    """``(merged table, "")`` when the table cached at ``path`` can take
-    ``table``'s rows, else ``(table, why the cache is replaced)``."""
-    unreadable = "it is not a readable critical-value table"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cached = CriticalTable.from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
-        return table, unreadable
-    old, new = cached.meta.get("sampler"), table.meta.get("sampler")
-    if old != new:
-        tag = "no sampler tag" if old is None else f"sampler tag {old!r}"
-        return table, f"it has {tag}, from an older sampler than {new!r}"
-    if cached.levels != table.levels:
-        return table, f"its levels {list(cached.levels)} are not this run's {list(table.levels)}"
-    differ = [f"{key} {cached.meta.get(key)!r} vs {table.meta.get(key)!r}"
-              for key in sorted(cached.meta.keys() | table.meta.keys(), key=str)
-              if cached.meta.get(key) != table.meta.get(key)]
-    if differ:
-        return table, f"its meta differs from this run's: {', '.join(differ)}"
-    try:
-        return cached.merged(table), ""
-    except (ValueError, KeyError, TypeError, IndexError):
-        return table, unreadable
-
-
 def cmd_crit(args) -> int:
     try:
         dims = _parse_dims(args.dim)
@@ -347,10 +321,18 @@ def cmd_crit(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if os.path.exists(args.out):
-        table, reason = _merged_with_cache(args.out, table)
+        try:
+            with open(args.out, encoding="utf-8") as fh:
+                cached = CriticalTable.from_dict(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError):
+            reason = "it is not a readable critical-value table"
+        else:
+            try:
+                table, reason = cached.merged(table), ""
+            except ValueError as exc:
+                reason = str(exc)
         if reason:
-            print(f"note: replacing {args.out} instead of merging into it: {reason}",
-                  file=sys.stderr)
+            print(f"note: replacing {args.out} instead of merging into it: {reason}", file=sys.stderr)
     _write(args.out, [json.dumps(table.to_dict(), indent=2, sort_keys=True)])
     print(f"wrote {args.out} (dims {list(table.dims)}, levels {list(table.levels)})")
     return 0

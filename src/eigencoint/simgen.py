@@ -93,16 +93,26 @@ def frac_coeffs(alpha: float, m: int) -> np.ndarray:
 
 
 def _check_stationary_ar(ar: np.ndarray) -> None:
-    """Reject AR polynomials with roots on or inside the unit circle."""
-    k = ar.size
+    """Reject AR polynomials with roots on or inside the unit circle.
+
+    One rule for every order ``k`` of ``phi(z) = 1 - sum_i ar_i z^i``:
+    ``phi(1) > 0`` and ``phi(-1) > 0``, each a ``math.fsum`` so that its
+    sign is exact, and ``|ar_k| < 1``.  That is the whole condition at
+    orders 1 and 2.  From order 3 on, the companion matrix's spectral
+    radius must also lie below 1.  That radius is rounded, so complex roots
+    on the unit circle can still pass there; roots at 1 and -1 cannot.
+    """
+    coeffs = ar.tolist()
+    k = len(coeffs)
     if k == 0:
         return
-    if k == 1:
-        ok = abs(ar[0]) < 1.0
-    elif k == 2:
-        phi1, phi2 = ar
-        ok = abs(phi2) < 1.0 and phi2 + phi1 < 1.0 and phi2 - phi1 < 1.0
-    else:
+    try:
+        ok = (abs(coeffs[-1]) < 1.0
+              and math.fsum([1.0, *(-a for a in coeffs)]) > 0.0  # phi(1)
+              and math.fsum([1.0, *coeffs[::2], *(-a for a in coeffs[1::2])]) > 0.0)  # phi(-1)
+    except (OverflowError, ValueError):  # fsum of huge, or of +inf and -inf, coefficients
+        ok = False
+    if ok and k > 2:
         companion = np.zeros((k, k))
         companion[0, :] = ar
         companion[1:, :-1] = np.eye(k - 1)
@@ -555,8 +565,9 @@ def _latent_coeffs(spec: ScenarioSpec):
         ar_block = _draw_coeffs(ar_law, count, rng)
         ma_block = _draw_coeffs(ma_law, count, rng)
         if ar_block is not None:
-            for i in range(count):
-                _check_stationary_ar(ar_block[i : i + 1])
+            stationary = np.abs(ar_block) < 1.0  # the order-1 rule, every column at once
+            if not stationary.all():
+                _check_stationary_ar(ar_block[~stationary][:1])
             neg_ar[lo : lo + count] = -ar_block
         if ma_block is not None:
             ma[lo : lo + count] = ma_block

@@ -107,6 +107,71 @@ def test_table_json_round_trip():
     assert_array_equal(again.values, table.values)
 
 
+@pytest.mark.parametrize(
+    "dims, values",
+    [
+        ((1, 2), [[3.0]]),  # a row missing
+        ((1,), [[3.0], [15.0]]),  # a row too many
+        ((1,), [[3.0, 2.5]]),  # a column too many
+        ((1,), [3.0]),  # not one row per dim
+        ((1, 2), [[3.0], [np.nan]]),
+        ((1,), [[np.inf]]),
+    ],
+    ids=["short", "long", "wide", "flat", "nan", "inf"],
+)
+def test_table_rejects_values_that_do_not_fit_or_are_not_finite(dims, values):
+    with pytest.raises(ValueError, match=r"need finite values of shape \(\d+, 1\)"):
+        CriticalTable(dims=dims, levels=(0.05,), values=np.asarray(values), meta=dict(META))
+    data = {"dims": list(dims), "levels": [0.05], "values": values, "meta": META}
+    with pytest.raises(ValueError, match="need finite values"):
+        CriticalTable.from_dict(json.loads(json.dumps(data)))
+
+
+def test_empty_tables_round_trip():
+    for empty in (trace_critical_table(dims=(), levels=(0.05, 0.1), T=100, reps=1000),
+                  unit_root_critical_table(n=(), levels=(0.05, 0.1), reps=1000)):
+        data = json.loads(json.dumps(empty.to_dict()))
+        assert data["values"] == []
+        again = CriticalTable.from_dict(data)
+        assert (again.dims, again.levels, again.meta) == (empty.dims, empty.levels, empty.meta)
+        assert again.values.shape == empty.values.shape == (0, 2)
+        assert again.merged(empty).values.shape == (0, 2)
+
+
+def test_merged_names_the_first_difference():
+    new = dict(META, sampler="nested-dot")
+    base = CriticalTable(dims=(1,), levels=(0.05,), values=np.array([[3.0]]), meta=new)
+
+    def why(levels, meta):
+        other = CriticalTable(dims=(2,), levels=levels, values=np.full((1, len(levels)), 15.0),
+                              meta=meta)
+        with pytest.raises(ValueError) as info:
+            other.merged(base)
+        message = str(info.value)
+        assert message.startswith("cannot merge tables with different levels or meta: ")
+        return message.split(": ", 1)[1]
+
+    # The sampler tag comes first, even when the levels and other keys differ too.
+    assert why((0.1,), dict(META, seed=9)) == (
+        "it has no sampler tag, from an older sampler than 'nested-dot'")
+    assert why((0.1,), dict(new, sampler="nested", seed=9)) == (
+        "it has sampler tag 'nested', from an older sampler than 'nested-dot'")
+    # Then the levels, then every meta key that differs, sorted.
+    assert why((0.1,), dict(new, seed=9)) == "its levels [0.1] are not this run's [0.05]"
+    assert why((0.05,), dict(new, seed=9, T=200)) == (
+        "its meta differs from this run's: T 200 vs 100, seed 9 vs 0")
+
+
+def test_one_quantile_call_equals_the_per_row_quantiles():
+    samples = derive_stream(5).standard_normal((4, 1001))
+    levels, quantiles = (0.05, 0.1), [0.95, 0.9]
+    table = baselines._quantile_table(samples, (1, 2, 3, 4), levels, quantiles, dict(META))
+    for i, sample in enumerate(samples):
+        assert table.values[i].tobytes() == np.quantile(sample, quantiles).tobytes()
+    empty = baselines._quantile_table(np.empty((0, 1000)), (), levels, quantiles, dict(META))
+    assert empty.values.shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # stream derivation
 
@@ -138,6 +203,8 @@ def trace_quantile(T, reps, rng, level=0.05):
         ({"reps": 500}, "reps >= 1000"),
         ({"dim": 2.5}, "dim must be an integer, got 2.5"),
         ({"dim": True}, "dim must be an integer, got True"),
+        ({"T": 100.5}, "T must be an integer, got 100.5"),
+        ({"reps": 1000.5}, "reps must be an integer, got 1000.5"),
     ],
 )
 def test_sim_trace_critical_validates_arguments(kwargs, match):
@@ -930,6 +997,25 @@ def test_table_sizes_accept_whole_floats_and_numpy_integers():
         assert same.values.tobytes() == unit_root.values.tobytes()
 
 
+def test_table_repetitions_and_T_accept_whole_floats():
+    trace = trace_critical_table(dims=(1, 2), T=100, reps=1000)
+    same = trace_critical_table(dims=(1, 2), T=100.0, reps=1000.0)
+    assert same.meta == trace.meta
+    assert type(same.meta["T"]) is int and type(same.meta["reps"]) is int
+    assert same.values.tobytes() == trace.values.tobytes()
+    unit_root = unit_root_critical_table(300, reps=1000)
+    same = unit_root_critical_table(300, reps=np.float64(1000.0))
+    assert same.meta == unit_root.meta and type(same.meta["reps"]) is int
+    assert same.values.tobytes() == unit_root.values.tobytes()
+    # The documented order holds: levels, then sizes, then reps, then seed.
+    with pytest.raises(ValueError, match="level must lie"):
+        trace_critical_table(dims=(1,), levels=(2.0,), T=100.5, reps=1000.5)
+    with pytest.raises(ValueError, match="T must be an integer"):
+        trace_critical_table(dims=(1,), T=100.5, reps=1000.5, seed=-1)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        unit_root_critical_table(300, reps=1000.5, seed=-1)
+
+
 def test_unit_root_table_rows_are_the_one_length_tables():
     levels = (0.05, 0.1)
     table = unit_root_critical_table([1000, 300], levels=levels, reps=1000, seed=5)
@@ -958,7 +1044,7 @@ def test_sequential_unit_root_needs_a_table_for_the_panel_length(monkeypatch):
     monkeypatch.setattr(baselines, "unit_root_stat", lambda *a: calls.append(1) or stat(*a))
     table = unit_root_critical_table([300, 1000], reps=1000, seed=0)
     noise = derive_stream(67).standard_normal((500, 2))
-    with pytest.raises(ValueError, match=r"no dimension 500 \(covers \(300, 1000\)\)"):
+    with pytest.raises(ValueError, match=r"no length 500 \(covers \(300, 1000\)\)"):
         sequential_unit_root(noise, 0.05, table)
     assert calls == []
     assert sequential_unit_root(noise[:300], 0.05, table) == 2
@@ -970,8 +1056,9 @@ def test_sequential_unit_root_needs_a_table_for_the_panel_length(monkeypatch):
         ({"reps": 5}, "reps >= 1000"),
         ({"levels": (2.0,)}, "level must lie in"),
         ({"seed": -1}, "seed >= 0"),
+        ({"reps": 1000.5}, "reps must be an integer, got 1000.5"),
     ],
-    ids=["reps", "levels", "seed"],
+    ids=["reps", "levels", "seed", "reps-fraction"],
 )
 def test_unit_root_table_checks_its_arguments_for_no_lengths(kwargs, match):
     with pytest.raises(ValueError, match=match):

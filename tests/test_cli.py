@@ -860,6 +860,33 @@ def test_crit_notes_why_it_replaces_a_cache(tmp_path, capsys):
         assert err.count("note:") == 1 and "not a readable critical-value table" in err
 
 
+def test_crit_replaces_a_cache_with_values_that_are_not_finite(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    assert main(crit_args(out, dim="1..2")) == 0
+    fresh = out.read_bytes()
+    data = json.loads(fresh)
+    data["values"][1][0] = float("nan")
+    out.write_text(json.dumps(data))  # a NaN literal, which json.load reads back
+    capsys.readouterr()
+    assert main(crit_args(out, dim="1")) == 0
+    err = capsys.readouterr().err
+    assert err.count("note:") == 1 and "not a readable critical-value table" in err
+    table = CriticalTable.from_dict(json.loads(out.read_text()))
+    assert table.dims == (1,)
+    assert table.values[0].tobytes() == CriticalTable.from_dict(
+        json.loads(fresh)).values[0].tobytes()
+
+
+def test_crit_note_gives_the_reason_merged_raises(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    assert main(crit_args(out, dim="1")) == 0
+    assert main(crit_args(out, dim="2", seed="1")) == 0
+    err = capsys.readouterr().err
+    assert err == (f"note: replacing {out} instead of merging into it: cannot merge tables "
+                   "with different levels or meta: its meta differs from this run's: "
+                   "seed 0 vs 1\n")
+
+
 def test_crit_rejects_bad_arguments(tmp_path, capsys):
     out = tmp_path / "cache.json"
     assert main(crit_args(out, reps="500")) == 2

@@ -184,11 +184,21 @@ def test_same_stream_is_deterministic():
 
 @pytest.mark.parametrize(
     "ar",
-    [(1.0,), (1.05,), (-1.0,), (0.5, 0.5), (0.2, 0.9), (0.4, 0.4, 0.4)],
+    [(1.0,), (1.05,), (-1.0,), (0.5, 0.5), (0.2, 0.9), (0.4, 0.4, 0.4),
+     # Unit roots whose companion spectral radius rounds to just below 1:
+     # the coefficients sum to exactly 1, then to 1 + 5.6e-17 in binary.
+     (0.2, 0.2, 0.6), (0.4, 0.4, 0.2)],
 )
 def test_explosive_or_unit_root_ar_rejected(ar):
     with pytest.raises(NonstationaryAR):
         gen_arima(50, ar=ar, rng=make_stream(0))
+
+
+def test_panel_names_the_first_nonstationary_drawn_coefficient():
+    spec = ScenarioSpec(p=3, r=3, n=50, seed=0,
+                        stationary_law={"kind": "grid", "values": [0.5, -1.0, 1.5]})
+    with pytest.raises(NonstationaryAR, match=r"\(np.float64\(-1.0\),\) are not stationary"):
+        gen_panel(spec)
 
 
 def test_stationary_higher_order_ar_accepted():
