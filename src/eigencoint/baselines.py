@@ -24,12 +24,14 @@ eigenproblem give the trace statistics
 
     stat(r0) = -T * sum_{i > r0} log(1 - mu_i),      T = n - 1,
 
-and the selected rank is the first null ``r0`` whose statistic falls below
-the critical value for dimension ``p - r0``.  Critical values come from the
-empirical quantile of ``tr([sum e X'][sum X X']^-1 [sum X e'])`` over seeded
-repetitions, where ``e`` is i.i.d. standard normal, ``X`` its cumulative sum
-started at zero, and both factors are demeaned — the standard discretized
-functional.
+and the selected rank is the leading run of null ranks ``r0 = 0, 1, ...``
+that pass their cutoff, the critical value for dimension ``p - r0``: a null
+passes (is rejected) unless its statistic is below it.  So the rank is the
+first ``r0`` whose statistic falls below its cutoff, or ``p``.  Critical
+values come from the empirical quantile of
+``tr([sum e X'][sum X X']^-1 [sum X e'])`` over seeded repetitions, where
+``e`` is i.i.d. standard normal, ``X`` its cumulative sum started at zero,
+and both factors are demeaned — the standard discretized functional.
 
 Unit-root procedure
 -------------------
@@ -64,6 +66,7 @@ from .errors import (
     SingularMoments,
 )
 from .linalg import SPD_RTOL, eigh_desc, solve_spd
+from .ranksel import _leading_run
 from .subspace import _integer
 
 #: Guard keeping log(1 - mu) finite when a canonical eigenvalue rounds to 1.
@@ -112,8 +115,10 @@ class CriticalTable:
     Attributes
     ----------
     dims : tuple of int
-        Sizes covered (ascending): the dimension ``p - r0`` for the trace
-        statistic, the series length ``n`` for the unit-root statistic.
+        Sizes covered, whole numbers strictly ascending (``ValueError``
+        otherwise; ``2.0`` is ``2``): the dimension ``p - r0`` for the
+        trace statistic, the series length ``n`` for the unit-root
+        statistic.
     levels : tuple of float
         Test sizes, e.g. ``(0.05,)``.
     values : ndarray, shape (len(dims), len(levels))
@@ -131,6 +136,10 @@ class CriticalTable:
     meta: dict
 
     def __post_init__(self) -> None:
+        dims = tuple(_integer("dim", d) for d in self.dims)
+        if any(a >= b for a, b in zip(dims, dims[1:])):
+            raise ValueError(f"need strictly ascending dims, got {list(self.dims)}")
+        object.__setattr__(self, "dims", dims)
         shape = (len(self.dims), len(self.levels))
         if np.shape(self.values) != shape or not np.isfinite(self.values).all():
             raise ValueError(f"need finite values of shape {shape}, got {self.values!r}")
@@ -183,7 +192,7 @@ class CriticalTable:
         """The table :meth:`to_dict` wrote; raises on anything else."""
         values = np.asarray(data["values"], dtype=float)
         return cls(
-            dims=tuple(int(d) for d in data["dims"]),
+            dims=data["dims"],
             levels=tuple(float(lv) for lv in data["levels"]),
             values=values.reshape(0, len(data["levels"])) if values.shape == (0,) else values,
             meta=dict(data["meta"]),
@@ -329,8 +338,9 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
 def _check_table_args(levels, check_size, sizes, reps: int, seed: int) -> tuple:
     """Raise on an argument either table rejects, in the order levels,
     ``check_size`` of every size (the trace ``T``, or each unit-root
-    length), reps, seed.  ``reps``, like a size, must be a whole number
-    (``1000.0`` is ``1000``); returns the sizes and ``reps`` as ints."""
+    length), reps, seed.  ``reps`` and ``seed``, like a size, must be whole
+    numbers (``1000.0`` is ``1000``); returns the sizes, ``reps`` and
+    ``seed`` as ints."""
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -338,9 +348,10 @@ def _check_table_args(levels, check_size, sizes, reps: int, seed: int) -> tuple:
     reps = _integer("reps", reps)
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
-    return sizes, reps
+    return sizes, reps, seed
 
 
 def _check_trace_T(T: int) -> int:
@@ -382,9 +393,9 @@ def trace_critical_table(
     for dim in dims:
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
-    (T,), reps = _check_table_args(levels, _check_trace_T, (T,), reps, seed)
+    (T,), reps, seed = _check_table_args(levels, _check_trace_T, (T,), reps, seed)
     samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
-    meta = {"T": T, "reps": reps, "seed": int(seed), "statistic": "trace",
+    meta = {"T": T, "reps": reps, "seed": seed, "statistic": "trace",
             "sampler": "nested-dot"}
     return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
 
@@ -433,7 +444,9 @@ def johansen_trace(series, crit: CriticalTable, level: float = DEFAULT_LEVEL) ->
     series : array_like, shape (n, p)
         Observation panel with ``n > 2p + 2``.
     crit : CriticalTable
-        Must cover dimensions ``1..p`` at ``level``.
+        Must cover dimensions ``1..p`` at ``level``: every one is read,
+        also those past the selected rank, and a missing one raises
+        ``ValueError``.
     level : float
         Test size.
 
@@ -472,14 +485,12 @@ def johansen_trace(series, crit: CriticalTable, level: float = DEFAULT_LEVEL) ->
 
     tail = np.cumsum(np.log1p(-mu[::-1]))[::-1]  # tail[r0] = sum_{i>=r0} log(1-mu_i)
     stats = -t_eff * tail
-    selected = p
-    for r0 in range(p):
-        if stats[r0] < crit.value(p - r0, level):
-            selected = r0
-            break
+    cutoffs = np.array([crit.value(p - r0, level) for r0 in range(p)])
+    # ``~(stats < cutoffs)``, not ``stats >= cutoffs``: a NaN statistic
+    # counts as a rejection, so the walk goes on past it.
     return TraceResult(
         stats=stats,
-        selected_r=selected,
+        selected_r=_leading_run(~(stats < cutoffs)),
         level=float(level),
         eigenvalues=mu,
         directions=directions,
@@ -510,8 +521,9 @@ def unit_root_stat(x, bandwidth: Optional[int] = None):
         Series to test, ``n >= 20``, or a panel whose ``k`` columns are
         tested.
     bandwidth : int, optional
-        Bartlett kernel truncation, ``>= 0``; default
-        :func:`bartlett_bandwidth`.  Checked before the data.
+        Bartlett kernel truncation, a whole number ``>= 0`` (``3.0`` is
+        ``3``); default :func:`bartlett_bandwidth`.  Checked before the
+        data.
 
     Returns
     -------
@@ -520,7 +532,7 @@ def unit_root_stat(x, bandwidth: Optional[int] = None):
     Raises
     ------
     ValueError
-        Negative bandwidth.
+        Negative bandwidth, or one that is not a whole number.
     InvalidSeries
         Fewer than 20 observations, non-finite entries, or more than two
         dimensions.
@@ -559,7 +571,7 @@ def _unit_root_stats(
     series and the residuals are written into (the same ufuncs, through
     ``out=``) instead of fresh arrays.
     """
-    q = None if bandwidth is None else int(bandwidth)
+    q = None if bandwidth is None else _integer("bandwidth", bandwidth)
     if q is not None and q < 0:
         raise ValueError(f"bandwidth must be non-negative, got {q}")
     xs = np.ascontiguousarray(xs)
@@ -622,9 +634,9 @@ def unit_root_critical_table(
     """
     lengths = tuple(sorted({_integer("n", size) for size in ((n,) if np.ndim(n) == 0 else n)}))
     levels = tuple(float(lv) for lv in levels)
-    lengths, reps = _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
+    lengths, reps, seed = _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
     samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
-    meta = {"reps": reps, "seed": int(seed), "statistic": "unit_root"}
+    meta = {"reps": reps, "seed": seed, "statistic": "unit_root"}
     return _quantile_table(samples, lengths, levels, list(levels), meta)
 
 
@@ -731,6 +743,8 @@ def sequential_unit_root(x_hat, level: float, crit: CriticalTable) -> int:
     except (InvalidSeries, DegenerateComponent):
         stats = None
     count = 0
+    # A lazy walk, not a leading run over every column: on the per-column
+    # fallback no column past the stopping point may be scored.
     for idx in range(x.shape[1] - 1, -1, -1):
         stat = unit_root_stat(x[:, idx]) if stats is None else stats[idx]
         if stat < cv:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidSeries, LagTooLarge
 from .linalg import _symmetrize_stack
+from .subspace import _integer
 
 #: Default max lag for the quadratic accumulation.  Small values suffice for
 #: integer-order integration; workflows targeting fractional orders should
@@ -107,7 +108,8 @@ def build_stack(series, j0: int = DEFAULT_J0) -> LagCovStack:
     series : array_like, shape (n, p) or (m, n, p)
         A panel, or a stack of ``m`` panels of one shape.
     j0 : int, default DEFAULT_J0
-        Largest lag, ``0 <= j0 <= n - 2``.
+        Largest lag, a whole number ``0 <= j0 <= n - 2`` (``ValueError``
+        if it is not whole, :class:`LagTooLarge` out of range).
 
     Returns
     -------
@@ -115,7 +117,7 @@ def build_stack(series, j0: int = DEFAULT_J0) -> LagCovStack:
     """
     y = _as_panels(series)
     n, p = y.shape[-2:]
-    j0 = int(j0)
+    j0 = _integer("j0", j0)
     if j0 < 0 or j0 >= n - 1:
         raise LagTooLarge(f"j0={j0} out of range for n={n} (need 0 <= j0 <= n-2)")
     mean = y.mean(axis=-2)

@@ -4,12 +4,18 @@ Pipeline: :func:`fit` builds ``W = sum_j S_j S_j'`` for a panel,
 eigendecomposes it, and returns the full orthogonal transform ``A_hat``
 (eigenvectors, descending eigenvalues) together with the transformed panel
 ``x_hat = y @ A_hat``.  The rank rules then read the number of stationary
-(cointegrated) directions off the eigenvalue profile:
+(cointegrated) directions off the eigenvalue profile.  Each rule's rank is
+the leading run of positions that pass the rule's cutoff: the trailing
+eigenvalues ``lambda_p, lambda_{p-1}, ...`` are counted up to the first
+one that fails, and the rank is at least 1.
 
-* :func:`rank_ratio`    -- largest ``j`` with ``lambda_{p+1-j} <= n * lambda_p``
-* :func:`rank_ic`       -- minimizer of trailing-eigenvalue sum plus penalty
-* :func:`rank_ratio_fractional` -- ratio rule with threshold
-  ``n**(d_min + delta - 1) * lambda_p`` for fractionally integrated panels
+* :func:`rank_ratio`    -- ``lambda <= n * lambda_p``
+* :func:`rank_ic`       -- ``lambda < omega``, the penalty
+* :func:`rank_ratio_fractional` -- ``lambda <= n**(d_min + delta - 1) *
+  lambda_p``, for fractionally integrated panels
+
+:func:`_leading_run` is that one decision; the Johansen trace test in
+:mod:`eigencoint.baselines` makes it over null ranks ``r0 = 0, 1, ...``.
 
 ``W`` is positive semidefinite in exact arithmetic, so its spectrum is
 reported as ``lambda_1 >= ... >= lambda_p >= 0``.  In floating point the
@@ -31,6 +37,7 @@ import numpy as np
 from .covstack import DEFAULT_J0, LagCovStack, _as_panels, build_stack
 from .errors import DegenerateSpectrum, InvalidRank
 from .linalg import EigenSystem, _take_columns, eigh_desc
+from .subspace import _integer
 
 #: Exponent on n in the named penalties omega1/omega2/omega3.
 _PENALTY_EXPONENTS = {"omega1": 1.25, "omega2": 1.5, "omega3": 2.0 / 3.0}
@@ -158,23 +165,20 @@ def _validate_spectrum(eigen: EigenSystem) -> np.ndarray:
     return values
 
 
-def _count_below(values: np.ndarray, threshold: float) -> int:
-    """Largest ``j`` in ``1..p`` with ``lambda_{p+1-j} <= threshold``, at least 1."""
-    r = 1
-    for j in range(2, values.size + 1):
-        if values[values.size - j] <= threshold:
-            r = j
-    return r
+def _leading_run(passed) -> int:
+    """How many leading entries of the boolean array ``passed`` are true."""
+    passed = np.asarray(passed, dtype=bool)
+    return passed.size if passed.all() else int(np.argmin(passed))
 
 
 def rank_ratio(eigen: EigenSystem, n: int) -> int:
-    """Ratio rule: largest ``j`` in ``1..p`` with ``lambda_{p+1-j} <= n * lambda_p``.
+    """Ratio rule: the leading run of trailing eigenvalues ``<= n * lambda_p``.
 
-    The ``j``-th smallest eigenvalue is compared against ``n`` times the
-    smallest one; the estimated rank is the longest run of trailing
-    eigenvalues that stay below that threshold.  ``j = 1`` always qualifies,
-    so the result is at least 1 — a zero rank cannot be detected by this
-    rule and must be screened with the information criterion under a custom
+    The cutoff is ``n`` times the smallest eigenvalue.  Walking
+    ``lambda_p, lambda_{p-1}, ...``, the rank counts the eigenvalues at or
+    below it up to the first one above it.  ``lambda_p`` always passes, so
+    the result is at least 1 — a zero rank cannot be detected by this rule
+    and must be screened with the information criterion under a custom
     penalty, or with the unit-root baseline.
 
     Parameters
@@ -195,16 +199,21 @@ def rank_ratio(eigen: EigenSystem, n: int) -> int:
         If ``lambda_p <= 0``.
     """
     values = _validate_spectrum(eigen)
-    return _count_below(values, float(n) * values[-1])
+    return max(1, _leading_run(values[::-1] <= float(n) * values[-1]))
 
 
 def rank_ic(eigen: EigenSystem, omega: float) -> int:
-    """Information criterion: minimize trailing-eigenvalue sum plus penalty.
+    """Information criterion: the leading run of trailing eigenvalues ``< omega``.
 
     ``IC(l) = sum_{j=1}^{l} lambda_{p+1-j} + (p - l) * omega`` over
     ``l in 1..p``; ties go to the smallest ``l``.  Adding a direction to the
     stationary block costs its eigenvalue; leaving it out costs ``omega`` —
-    so the minimizer counts the eigenvalues smaller than ``omega``.
+    so ``IC(l) - IC(l - 1) = lambda_{p+1-l} - omega``, and on a descending
+    spectrum the minimizer is the leading run of trailing eigenvalues below
+    the cutoff ``omega``, at least 1.  It is read from the eigenvalues, not
+    from rounded partial sums.  The comparison is strict: at
+    ``lambda == omega`` the criterion ties, and the tie goes to the smaller
+    ``l``.
 
     Parameters
     ----------
@@ -221,12 +230,9 @@ def rank_ic(eigen: EigenSystem, omega: float) -> int:
     if not 0 < omega < np.inf:
         raise ValueError(f"penalty must be positive and finite, got {omega}")
     values = np.asarray(eigen.values, dtype=float)
-    p = values.size
-    if p < 1:
+    if values.size < 1:
         raise InvalidRank("empty spectrum")
-    tail = np.cumsum(values[::-1])  # tail[l-1] = sum of l smallest
-    ic = tail + (p - np.arange(1, p + 1)) * omega
-    return int(np.argmin(ic)) + 1
+    return max(1, _leading_run(values[::-1] < omega))
 
 
 def penalty(spec: PenaltySpec, n: int, lambda_p: float) -> float:
@@ -268,8 +274,9 @@ def rank_ratio_fractional(
 ) -> int:
     """Ratio rule with threshold ``n**(d_min + delta - 1) * lambda_p``.
 
-    For panels whose nonstationary components are fractionally integrated of
-    order at least ``d_min > 1/2``, the eigenvalue gap scales as a power of
+    The rank is the leading run of trailing eigenvalues ``<=`` that cutoff,
+    at least 1, as in :func:`rank_ratio`.  For panels whose nonstationary
+    components are fractionally integrated of order at least ``d_min > 1/2``, the eigenvalue gap scales as a power of
     ``n`` determined by ``d_min``; ``delta`` is a slack exponent in
     ``[0, 1/2)``.  With ``d_min = 1, delta = 0`` the threshold degenerates
     to ``lambda_p`` itself and only eigenvalues tied with the smallest
@@ -296,7 +303,7 @@ def rank_ratio_fractional(
             RuntimeWarning,
             stacklevel=2,
         )
-    return _count_below(values, threshold)
+    return max(1, _leading_run(values[::-1] <= threshold))
 
 
 def split(fit_result: CointFit, r: int):
@@ -306,7 +313,8 @@ def split(fit_result: CointFit, r: int):
     ----------
     fit_result : CointFit
     r : int
-        Number of trailing (smallest-eigenvalue) columns, ``0 <= r <= p``.
+        Number of trailing (smallest-eigenvalue) columns, a whole number
+        ``0 <= r <= p``.
 
     Returns
     -------
@@ -318,9 +326,11 @@ def split(fit_result: CointFit, r: int):
     ------
     InvalidRank
         ``r`` outside ``0..p``.
+    ValueError
+        ``r`` not a whole number (``2.0`` is ``2``).
     """
     p = fit_result.p
-    r = int(r)
+    r = _integer("r", r)
     if r < 0 or r > p:
         raise InvalidRank(f"rank {r} out of range for p={p}")
     a = fit_result.eigen.vectors

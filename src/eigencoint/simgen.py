@@ -70,7 +70,7 @@ def frac_coeffs(alpha: float, m: int) -> np.ndarray:
         Any real except the negative integers (Gamma pole).  ``alpha = 0``
         returns ``(1, 0, 0, ...)`` — the identity filter — by convention.
     m : int
-        Largest index, ``m >= 0``.
+        Largest index, a whole number ``m >= 0`` (``ValueError`` if not whole).
 
     Returns
     -------
@@ -82,7 +82,7 @@ def frac_coeffs(alpha: float, m: int) -> np.ndarray:
         ``alpha`` a negative integer, or ``m < 0``.
     """
     alpha = float(alpha)
-    m = int(m)
+    m = _integer("m", m)
     if m < 0:
         raise InvalidOrder(f"need m >= 0, got {m}")
     if alpha.is_integer() and alpha < 0:
@@ -139,7 +139,8 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     Parameters
     ----------
     n : int
-        Length of the output series.
+        Length of the output series, a whole number ``>= 1`` (``ValueError``
+        if not whole).
     ar, ma : sequence of float
         Autoregressive and moving-average coefficients.
     d : int
@@ -155,7 +156,7 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     InvalidOrder
         Negative or non-integer ``d``.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
     if int(d) != d or d < 0:

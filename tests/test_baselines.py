@@ -127,6 +127,33 @@ def test_table_rejects_values_that_do_not_fit_or_are_not_finite(dims, values):
         CriticalTable.from_dict(json.loads(json.dumps(data)))
 
 
+@pytest.mark.parametrize(
+    "dims, match",
+    [
+        ((1.5, 2.9), "dim must be an integer, got 1.5"),
+        ((1, True), "dim must be an integer, got True"),
+        ((2, 1, 1), r"need strictly ascending dims, got \[2, 1, 1\]"),
+        ((1, 1), "need strictly ascending dims"),
+        ((2, 1), "need strictly ascending dims"),
+    ],
+    ids=["fraction", "bool", "descending-repeat", "repeat", "descending"],
+)
+def test_table_rejects_dims_that_are_not_whole_or_strictly_ascending(dims, match):
+    values = np.arange(1.0, len(dims) + 1.0)[:, None]
+    with pytest.raises(ValueError, match=match):
+        CriticalTable(dims=dims, levels=(0.05,), values=values, meta=dict(META))
+    data = {"dims": list(dims), "levels": [0.05], "values": values.tolist(), "meta": META}
+    with pytest.raises(ValueError, match=match):
+        CriticalTable.from_dict(json.loads(json.dumps(data)))
+
+
+def test_table_dims_accept_whole_floats():
+    data = {"dims": [1.0, 2], "levels": [0.05], "values": [[3.0], [15.0]], "meta": META}
+    table = CriticalTable.from_dict(data)
+    assert table.dims == (1, 2) and all(type(d) is int for d in table.dims)
+    assert table.value(2, 0.05) == 15.0
+
+
 def test_empty_tables_round_trip():
     for empty in (trace_critical_table(dims=(), levels=(0.05, 0.1), T=100, reps=1000),
                   unit_root_critical_table(n=(), levels=(0.05, 0.1), reps=1000)):
@@ -421,6 +448,52 @@ def test_trace_requires_covering_table():
         johansen_trace(y, hand_table((1,), [[3.0]]))
 
 
+def first_non_rejection(stats, crit, level=0.05):
+    """Reference loop: the first ``r0`` whose statistic is below its
+    critical value, else ``p``."""
+    p = len(stats)
+    for r0 in range(p):
+        if stats[r0] < crit.value(p - r0, level):
+            return r0
+    return p
+
+
+def test_trace_selection_matches_the_first_non_rejection_loop(trace_table):
+    rng = derive_stream(11)
+    for seed in range(6):
+        y = mixed_panel(seed)
+        stats = johansen_trace(y, trace_table).stats
+        tables = [trace_table]
+        # cutoffs at, just above and just below each statistic, and random ones
+        for shift in (0.0, np.inf, -np.inf):
+            cut = np.nextafter(stats, shift) if shift else stats.copy()
+            tables.append(hand_table((1, 2, 3), cut[::-1, None]))
+        tables += [hand_table((1, 2, 3), np.sort(rng.uniform(0.0, 60.0, (3, 1)), axis=0))
+                   for _ in range(5)]
+        for table in tables:
+            res = johansen_trace(y, table)
+            assert_array_equal(res.stats, stats)
+            assert res.selected_r == first_non_rejection(stats, table)
+
+
+def test_trace_statistic_equal_to_its_cutoff_is_a_rejection():
+    y = np.cumsum(derive_stream(3).standard_normal((200, 2)), axis=0)
+    stats = johansen_trace(y, hand_table((1, 2), [[1e9], [1e9]])).stats
+    # dim 2 is r0 = 0, dim 1 is r0 = 1
+    tied = hand_table((1, 2), [[stats[1] + 1.0], [stats[0]]])
+    assert johansen_trace(y, tied).selected_r == 1
+    above = hand_table((1, 2), [[stats[1] + 1.0], [np.nextafter(stats[0], np.inf)]])
+    assert johansen_trace(y, above).selected_r == 0
+
+
+def test_trace_reads_every_dimension_of_the_table():
+    # r0 = 0 is accepted at once, but dim 1 (r0 = 1) is still looked up.
+    y = np.cumsum(derive_stream(1).standard_normal((100, 2)), axis=0)
+    assert johansen_trace(y, hand_table((1, 2), [[1e9], [1e9]])).selected_r == 0
+    with pytest.raises(ValueError, match="no dimension 1"):
+        johansen_trace(y, hand_table((2,), [[1e9]]))
+
+
 def mixed_panel(seed, n=300):
     rng = derive_stream(seed)
     x = np.column_stack(
@@ -669,6 +742,8 @@ def test_unit_root_table_rejects_short_series():
         ({"reps": 999}, ValueError, "reps >= 1000"),
         ({"n": 300.5}, ValueError, "n must be an integer, got 300.5"),
         ({"n": [300, True]}, ValueError, "n must be an integer, got True"),
+        ({"seed": 1.5}, ValueError, "seed must be an integer, got 1.5"),
+        ({"seed": True}, ValueError, "seed must be an integer, got True"),
     ],
 )
 def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, match):
@@ -1014,6 +1089,36 @@ def test_table_repetitions_and_T_accept_whole_floats():
         trace_critical_table(dims=(1,), T=100.5, reps=1000.5, seed=-1)
     with pytest.raises(ValueError, match="reps must be an integer"):
         unit_root_critical_table(300, reps=1000.5, seed=-1)
+
+
+def test_trace_table_seed_must_be_a_whole_number(monkeypatch):
+    table = trace_critical_table(dims=(1,), T=100, reps=1000, seed=2)
+    same = trace_critical_table(dims=(1,), T=100, reps=1000, seed=2.0)
+    assert same.meta == table.meta and type(same.meta["seed"]) is int
+    assert same.values.tobytes() == table.values.tobytes()
+    same = unit_root_critical_table(300, reps=1000, seed=np.float64(2.0))
+    assert same.meta["seed"] == 2 and type(same.meta["seed"]) is int
+    streams = []
+    monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
+    for seed in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            trace_critical_table(dims=(1,), T=100, reps=1000, seed=seed)
+    # The seed is checked last: levels, sizes, reps, then seed.
+    with pytest.raises(ValueError, match="reps >= 1000"):
+        trace_critical_table(dims=(1,), T=100, reps=500, seed=1.5)
+    with pytest.raises(ValueError, match="seed >= 0"):
+        unit_root_critical_table(300, reps=1000, seed=-1.0)
+    assert streams == []
+
+
+@pytest.mark.parametrize("bandwidth", [2.5, True, "2"])
+def test_unit_root_stat_bandwidth_must_be_a_whole_number(bandwidth):
+    x = np.cumsum(derive_stream(61).standard_normal(100))
+    with pytest.raises(ValueError, match="bandwidth must be an integer"):
+        unit_root_stat(x, bandwidth=bandwidth)
+    assert unit_root_stat(x, bandwidth=2.0) == unit_root_stat(x, bandwidth=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        unit_root_stat(x, bandwidth=-1)
 
 
 def test_unit_root_table_rows_are_the_one_length_tables():

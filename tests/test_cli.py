@@ -832,6 +832,18 @@ def test_crit_corrupt_cache_replaced(tmp_path):
         assert CriticalTable.from_dict(json.loads(out.read_text())).dims == (1,)
 
 
+def test_crit_replaces_a_cache_whose_dims_break_the_table_rule(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    meta = {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace", "sampler": "nested-dot"}
+    for dims in ([1.5, 2.9], [2, 1, 1]):
+        values = [[float(k)] for k in range(1, len(dims) + 1)]
+        out.write_text(json.dumps({"dims": dims, "levels": [0.05], "values": values,
+                                   "meta": meta}))
+        assert main(crit_args(out)) == 0
+        assert "not a readable critical-value table" in capsys.readouterr().err
+        assert CriticalTable.from_dict(json.loads(out.read_text())).dims == (1,)
+
+
 def test_crit_notes_why_it_replaces_a_cache(tmp_path, capsys):
     out = tmp_path / "cache.json"
     assert main(crit_args(out, dim="1")) == 0

@@ -80,6 +80,15 @@ def test_lag_cov_lag_bounds(j):
         lag_cov(y, j)
 
 
+@pytest.mark.parametrize("j0", [2.5, True, "2"])
+def test_build_stack_j0_must_be_a_whole_number(j0):
+    y = np.arange(20.0).reshape(10, 2) ** 2
+    with pytest.raises(ValueError, match="j0 must be an integer"):
+        build_stack(y, j0)
+    assert_array_equal(build_stack(y, 2.0).w, build_stack(y, 2).w)
+    assert build_stack(y, 2.0).j0 == 2
+
+
 def test_lag_cov_rejects_non_finite():
     y = np.ones((6, 2))
     y[3, 1] = np.inf

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from eigencoint.errors import DegenerateSpectrum, InvalidRank, InvalidSeries
 from eigencoint.linalg import EigenSystem
 from eigencoint.ranksel import (
     PenaltySpec,
+    _leading_run,
     fit,
     penalty,
     rank_ic,
@@ -292,6 +294,100 @@ def test_fractional_degenerate_threshold_warns():
 
 
 # ---------------------------------------------------------------------------
+# one decision: the leading run of trailing eigenvalues that pass the cutoff
+
+
+def largest_j_at_or_below(values, threshold):
+    """Reference loop: the largest ``j`` in ``1..p`` with
+    ``lambda_{p+1-j} <= threshold``, at least 1."""
+    r = 1
+    for j in range(2, len(values) + 1):
+        if values[len(values) - j] <= threshold:
+            r = j
+    return r
+
+
+def ic_exact_argmin(values, omega):
+    """The criterion's own minimizer, ties to the smallest ``l``, with
+    ``IC(l) = sum of the l smallest + (p - l) * omega`` summed exactly."""
+    p = len(values)
+    tail = [Fraction(float(v)) for v in values[::-1]]
+    scores = [sum(tail[:l]) + (p - l) * Fraction(float(omega)) for l in range(1, p + 1)]
+    return scores.index(min(scores)) + 1
+
+
+def descending_spectra():
+    """Random spectra of every size 1..10, graded spectra spanning up to 30
+    decades, and spectra with ties."""
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        p = int(rng.integers(1, 11))
+        yield np.sort(rng.uniform(0.01, 1e4, p))[::-1]
+    for p in range(1, 11):
+        for decades in (1.0, 3.0, 30.0):
+            yield 10.0 ** (decades * np.linspace(1.0, 0.0, p))
+    yield np.array([5.0, 5.0, 2.0, 2.0, 2.0, 1.0])
+    yield np.array([3.0, 3.0, 3.0])
+
+
+def test_leading_run_counts_the_true_prefix():
+    assert _leading_run([]) == 0
+    assert _leading_run(np.array([True, True])) == 2
+    assert _leading_run([False, True, True]) == 0
+    assert _leading_run([True, False, True]) == 1
+    assert _leading_run(np.array([1.0, np.nan]) < 2.0) == 1
+
+
+def test_ratio_rules_match_the_largest_j_loop():
+    rng = np.random.default_rng(89)
+    for values in descending_spectra():
+        eigen = eigen_from(values)
+        # Each eigenvalue as a cutoff (a tie with it is counted), then
+        # random sample sizes.
+        for n in [v / values[-1] for v in values] + list(rng.uniform(0.5, 5e3, 3)):
+            assert rank_ratio(eigen, n) == largest_j_at_or_below(values, float(n) * values[-1])
+        d_min, delta = float(rng.uniform(0.51, 2.0)), float(rng.uniform(0.0, 0.49))
+        n = int(rng.integers(10, 5000))
+        threshold = float(n) ** (d_min + delta - 1.0) * values[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = rank_ratio_fractional(eigen, n, d_min, delta)
+        assert got == largest_j_at_or_below(values, threshold)
+
+
+def test_rank_ic_matches_the_exact_criterion_argmin():
+    rng = np.random.default_rng(97)
+    for values in descending_spectra():
+        eigen = eigen_from(values)
+        # Each eigenvalue as the penalty (a tie the criterion gives to the
+        # smaller l), then random penalties across the spectrum's range.
+        for omega in list(values) + list(10.0 ** rng.uniform(-3.0, 31.0, 4)):
+            assert rank_ic(eigen, omega) == ic_exact_argmin(values, omega)
+
+
+def test_value_equal_to_the_cutoff():
+    values = eigen_from([5.0, 3.0, 1.0])
+    assert rank_ic(values, 3.0) == 1  # strict: lambda == omega is not counted
+    assert rank_ratio(values, 3) == 2  # lambda == n * lambda_p is counted
+    # 4**0.5 * 1 == 2 exactly
+    assert rank_ratio_fractional(eigen_from([5.0, 2.0, 1.0]), 4, 1.5, 0.0) == 2
+
+
+def test_single_eigenvalue_is_rank_one_for_every_rule():
+    one = eigen_from([7.0])
+    assert rank_ratio(one, 1000) == 1
+    assert rank_ic(one, 1e-9) == rank_ic(one, 1e9) == 1
+    assert rank_ratio_fractional(one, 1000, 1.2, 0.1) == 1
+
+
+def test_fractional_threshold_below_lambda_p_is_rank_one_and_warns():
+    # exponent 0.6 - 1 < 0: the threshold 100**-0.4 * lambda_p < lambda_p,
+    # so not even the tied eigenvalues pass.
+    with pytest.warns(RuntimeWarning, match="degenerates"):
+        assert rank_ratio_fractional(eigen_from([1.0, 1.0, 1.0]), 100, 0.6, 0.0) == 1
+
+
+# ---------------------------------------------------------------------------
 # split
 
 
@@ -320,6 +416,23 @@ def test_split_rank_out_of_range(r):
     f = fit(np.random.default_rng(53).standard_normal((30, 3)), 2)
     with pytest.raises(InvalidRank):
         split(f, r)
+
+
+@pytest.mark.parametrize("r", [1.5, True, "1"])
+def test_split_rank_must_be_a_whole_number(r):
+    f = fit(np.random.default_rng(53).standard_normal((30, 3)), 2)
+    with pytest.raises(ValueError, match="r must be an integer"):
+        split(f, r)
+    for got, want in zip(split(f, 1.0), split(f, 1)):
+        assert_array_equal(got, want)
+
+
+def test_fit_j0_must_be_a_whole_number():
+    y = np.random.default_rng(59).standard_normal((30, 3))
+    with pytest.raises(ValueError, match="j0 must be an integer, got True"):
+        fit(y, True)
+    with pytest.raises(ValueError, match="j0 must be an integer, got 2.5"):
+        fit(y, 2.5)
 
 
 # ---------------------------------------------------------------------------

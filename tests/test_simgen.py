@@ -94,6 +94,13 @@ def test_frac_coeffs_rejects_negative_integer_alpha(alpha):
         frac_coeffs(alpha, 3)
 
 
+@pytest.mark.parametrize("m", [3.7, True, "3"])
+def test_frac_coeffs_m_must_be_a_whole_number(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        frac_coeffs(0.4, m)
+    assert_array_equal(frac_coeffs(0.4, 3.0), frac_coeffs(0.4, 3))
+
+
 def test_frac_coeffs_rejects_negative_m():
     with pytest.raises(InvalidOrder, match="m >= 0"):
         frac_coeffs(0.4, -1)
@@ -217,6 +224,13 @@ def test_generators_require_a_stream(generate, args):
 def test_gen_arima_rejects_bad_length(kwargs):
     with pytest.raises(InvalidOrder, match="n >= 1"):
         gen_arima(rng=make_stream(0), **kwargs)
+
+
+@pytest.mark.parametrize("n", [50.9, True, "50"])
+def test_gen_arima_length_must_be_a_whole_number(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        gen_arima(n, rng=make_stream(0))
+    assert_array_equal(gen_arima(50.0, rng=make_stream(0)), gen_arima(50, rng=make_stream(0)))
 
 
 @pytest.mark.parametrize("d", [-1, 1.5])
