@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import cycle
 from typing import Optional
 
 import numpy as np
@@ -205,28 +204,35 @@ def _chunk_reps(row: int) -> int:
     return max(1, _CHUNK_FLOATS // row)
 
 
-def _draw_and_score(reps: int, row: int, draw, score) -> None:
-    """Draw ``reps`` repetitions chunk by chunk while one worker scores them.
+def _draw_and_score(rngs, reps: int, row: int, score) -> None:
+    """Read ``reps`` repetitions of ``row`` normals from each stream of
+    ``rngs`` in chunks, while one worker thread scores them.
 
-    A chunk holds ``m = _chunk_reps(row)`` repetitions (the last one may hold
-    fewer).  The calling thread runs ``draw(m)``, then hands the chunk to
-    one worker thread, which runs ``score(chunk, start)`` while the next chunk
-    is drawn; at most two chunks are in flight.  Chunk ``k``'s score has
-    returned before chunk ``k + 2`` is drawn, so a sampler may draw into two
-    buffers in turn.  Only the calling thread draws, so a stream is read in
-    repetition order whatever the thread timing.  After an error in either
-    thread no further chunk is scored, and the error is raised here, after
-    the worker has been joined.  The worker is one plain ``threading.Thread``
-    fed through two semaphores: ``concurrent.futures`` took 6-10 ms to
-    import in a cold CLI process, where nothing else uses it.
+    A chunk, shape ``(len(rngs), k, row)``, holds ``k <= m = min(reps,
+    _chunk_reps(row))`` repetitions of every stream.  The calling thread
+    fills the chunk's block ``[s]``, a C-contiguous ``(k, row)`` view, with one
+    ``rngs[s].standard_normal(out=...)`` (the bits of
+    ``standard_normal((k, row))``), then hands the chunk to the worker,
+    which runs ``score(chunk, start)`` while the next chunk is read.  The
+    chunks alternate between two buffers allocated up front: chunk ``k``'s
+    score returns before chunk ``k + 2`` is read, and a scorer must not keep
+    a chunk past its call.  Only the calling thread reads, so every stream
+    is read in repetition order whatever the thread timing.  After an error
+    in either thread no further chunk is scored, and the error is raised
+    here, after the worker has been joined.  The worker is one plain
+    ``threading.Thread`` fed through two semaphores: ``concurrent.futures``
+    took 6-10 ms to import in a cold CLI process, where nothing else uses it.
 
     The two threads overlap only while the worker runs without the GIL.
-    Philox draws release it; so do stacked gemm, ``np.linalg.solve`` and
-    ``np.vecdot``.  Stacked gemv-shaped ``(1, T) @ (T, k)`` matmuls,
-    ``np.trace`` and ``np.cumsum`` hold it in their loops.  Measured (2
-    cores): 200 ``(32, 1000)`` Philox draws take 0.16 s alone, 0.16-0.17 s
-    next to a worker looping one of the first group, and 1.20-1.33 s next
-    to one looping one of the second.
+    Philox fills, ``np.linalg.solve``, stacked ``@`` and the scorers'
+    elementwise ufuncs and reductions release it.  ``np.cumsum``,
+    ``np.trace`` and ``np.vecdot`` over 500 row pairs or fewer hold it: the
+    unit-root ``vecdot`` over ``k`` walks (13 at ``n = 2500``), and the
+    trace ``vecdot`` while ``k D^2 <= 500``.  Measured (2 cores, NumPy
+    2.4): 300 Philox fills of ``13 x 2500`` take 0.17 s alone, 0.18-0.24 s
+    next to a worker looping one of the first group (``vecdot`` over 501 to
+    4608 row pairs among them), and 1.6-2.0 s next to one looping one of the
+    second (``vecdot`` over 13, 32 or 500).
 
     The two threads also need both cores, so build a table before any
     threaded BLAS work in the process.  OpenBLAS's own worker thread, once
@@ -239,7 +245,8 @@ def _draw_and_score(reps: int, row: int, draw, score) -> None:
     thread just before the table did not help: the already woken worker
     keeps spinning.
     """
-    m = _chunk_reps(row)
+    m = min(reps, _chunk_reps(row))
+    buffers = np.empty((2, len(rngs), m, row))
     job = []  # (chunk, start) handed to the worker; empty tells it to stop
     errors = []
     handed = threading.Semaphore(0)
@@ -260,8 +267,10 @@ def _draw_and_score(reps: int, row: int, draw, score) -> None:
     worker.start()
     busy = False
     try:
-        for start in range(0, reps, m):
-            chunk = draw(min(m, reps - start))
+        for i, start in enumerate(range(0, reps, m)):
+            chunk = buffers[i % 2, :, :min(m, reps - start)]
+            for rng, rows in zip(rngs, chunk):
+                rng.standard_normal(out=rows)
             if busy:
                 scored.acquire()
                 busy = False
@@ -286,52 +295,41 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     All dims are scored from one nested draw.  Column ``c`` (``1..D``,
     ``D = max(dims)``) of every repetition is the next ``T`` normals of
     ``derive_stream(seed, c)``, and dim ``d`` is scored on columns
-    ``1..d``.  Chunks hold ``m = _chunk_reps(T)`` repetitions of every
-    column (:func:`_draw_and_score`).  The cumulative sum and the demeaning
-    act on each column alone.  The moment matrices ``A = e x'`` and
-    ``B = x x'`` are formed once per chunk over all ``D`` columns, each
+    ``1..d``.  :func:`_draw_and_score` reads the ``D`` streams into
+    stream-major ``(D, k, T)`` chunks.  The cumulative sum and the
+    demeaning act on each column alone.  The moment matrices ``A = e x'``
+    and ``B = x x'`` are formed once per chunk over all ``D`` columns, each
     entry one ``np.vecdot`` (a BLAS dot) of two length-``T`` rows, and dim
     ``d`` is scored on their leading ``d x d`` blocks.  So a row is bitwise
     that of the one-repetition-at-a-time loop whose entries are 1-D dots,
     and depends on ``(seed, T, reps, d)`` alone: not on the other dims, the
     chunk size or the thread timing.
 
-    The calling thread only draws, each column into one of two
-    ``(m, D, T)`` slots allocated before the first draw and used in turn.
-    That is safe only because :func:`_draw_and_score` waits for chunk
-    ``k``'s score before it draws chunk ``k + 2``.  The worker integrates
-    each chunk (cumulative sum, demeaning) into one buffer, also allocated
-    up front, forms the products and solves.  It calls raw
-    ``np.linalg.solve`` and no package function, so nothing on the worker
-    thread is timed by a caller's wrapper.
+    The worker integrates each chunk (cumulative sum, demeaning) into one
+    ``(D, m, T)`` buffer allocated up front, forms the products and solves.
+    It calls raw ``np.linalg.solve`` and no package function, so nothing on
+    the worker thread is timed by a caller's wrapper.
     """
     D = max(dims)
-    rngs = [derive_stream(seed, c) for c in range(1, D + 1)]
     sample = np.empty((len(dims), reps))
-    m = min(reps, _chunk_reps(T))
-    slots = cycle(np.empty((2, m, D, T)))
-    walks = np.empty((m, D, T))
-
-    def draw(k: int) -> np.ndarray:
-        eps = next(slots)[:k]
-        for c, rng in enumerate(rngs):
-            eps[:, c] = rng.standard_normal((k, T))
-        return eps
+    walks = np.empty((D, min(reps, _chunk_reps(T)), T))
 
     def score(eps: np.ndarray, start: int) -> None:
-        k = len(eps)
-        xc = walks[:k]
+        k = eps.shape[1]
+        xc = walks[:, :k]
         xc[:, :, 0] = 0.0
         np.cumsum(eps[:, :, :-1], axis=2, out=xc[:, :, 1:])
         xc -= xc.mean(axis=2, keepdims=True)
-        a_full = np.vecdot(eps[:, :, None], xc[:, None])
-        b_full = np.vecdot(xc[:, :, None], xc[:, None])
+        # C order keeps each d x d block a BLAS-shaped matrix for ``@``.
+        e, x = eps.transpose(1, 0, 2), xc.transpose(1, 0, 2)  # (k, D, T) views
+        a_full = np.vecdot(e[:, :, None], x[:, None], order="C")
+        b_full = np.vecdot(x[:, :, None], x[:, None], order="C")
         for i, d in enumerate(dims):
             a = a_full[:, :d, :d]
             prod = a @ np.linalg.solve(b_full[:, :d, :d], a.transpose(0, 2, 1))
             sample[i, start:start + k] = np.trace(prod, axis1=1, axis2=2)
 
-    _draw_and_score(reps, T, draw, score)
+    _draw_and_score([derive_stream(seed, c) for c in range(1, D + 1)], reps, T, score)
     return sample
 
 
@@ -648,9 +646,9 @@ def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
     ``(j + 1) n - 1`` of the one stream ``derive_stream(seed, 1)``, which
     is what ``reps`` draws of ``standard_normal(n)`` give.  So every
     length reads the same stream from its start, and one pass serves all
-    of them.  The calling thread draws the stream in flat chunks of
-    ``m = _chunk_reps(N)`` walks of the largest length ``N``, while one
-    worker thread scores the previous chunk (:func:`_draw_and_score`).
+    of them.  :func:`_draw_and_score` reads the stream in chunks of
+    ``m = min(reps, _chunk_reps(N))`` walks of the largest length ``N``,
+    and one worker thread scores each chunk as one flat run of steps.
 
     Each length keeps one carry: the steps of its walk that the chunks so
     far leave unfinished.  For each length that still needs walks, the
@@ -661,21 +659,13 @@ def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
     then on it is skipped, so its carry does not grow with later chunks.
     Each walk's arithmetic does not depend on its chunk or on the other
     lengths, so each row is bitwise that of a per-walk loop, whatever the
-    chunk size or the thread timing.
-
-    The chunks are drawn into two ``(m, N)`` slots in turn
-    (``standard_normal(out=...)`` gives the bits of ``standard_normal((k,
-    N))``); two suffice because :func:`_draw_and_score` waits for chunk
-    ``k``'s score before it draws chunk ``k + 2``.  The slots, one walk
-    buffer and one scorer workspace are allocated before the first draw;
-    the last two are sized for the largest ``(k, n)`` batch a chunk can
-    complete and shared by every length.
+    chunk size or the thread timing.  One walk buffer and one scorer
+    workspace, sized for the largest ``(k, n)`` batch a chunk can complete,
+    serve every length.
     """
     N = ns[-1]
-    rng = derive_stream(seed, 1)
     sample = np.empty((len(ns), reps))
     m = min(reps, _chunk_reps(N))
-    slots = cycle(np.empty((2, m, N)))
     # A chunk of m * N floats, after a carry of < n, completes at most this
     # many walks of length n.
     most = [min(reps, (m * N + n - 1) // n) for n in ns]
@@ -683,9 +673,6 @@ def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
     work = np.empty((3, max(k * (n - 1) for k, n in zip(most, ns))))
     carry = [np.empty(0)] * len(ns)
     done = [0] * len(ns)
-
-    def draw(k: int) -> np.ndarray:
-        return rng.standard_normal(out=next(slots)[:k])
 
     def score(steps: np.ndarray, start: int) -> None:
         for i, n in enumerate(ns):
@@ -702,7 +689,7 @@ def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:
             sample[i, done[i]:done[i] + k] = _unit_root_stats(xs, work=ws)
             done[i] += k
 
-    _draw_and_score(reps, N, draw, score)
+    _draw_and_score([derive_stream(seed, 1)], reps, N, score)
     return sample
 
 

@@ -186,7 +186,8 @@ def rank_ratio(eigen: EigenSystem, n: int) -> int:
     eigen : EigenSystem
         Descending spectrum with ``lambda_p > 0``.
     n : int
-        Sample size the panel was observed over.
+        Sample size the panel was observed over, a whole number ``>= 1``
+        (``1000.0`` is ``1000``; ``True`` or ``2.5`` raise ``ValueError``).
 
     Returns
     -------
@@ -198,6 +199,7 @@ def rank_ratio(eigen: EigenSystem, n: int) -> int:
     DegenerateSpectrum
         If ``lambda_p <= 0``.
     """
+    n = _integer("n", n, positive=True)
     values = _validate_spectrum(eigen)
     return max(1, _leading_run(values[::-1] <= float(n) * values[-1]))
 
@@ -240,13 +242,15 @@ def penalty(spec: PenaltySpec, n: int, lambda_p: float) -> float:
 
     Named variants scale the smallest eigenvalue:
     ``omega1 = n**(5/4) * lambda_p``, ``omega2 = n**(3/2) * lambda_p``,
-    ``omega3 = n**(2/3) * lambda_p``.  ``custom`` ignores both arguments.
+    ``omega3 = n**(2/3) * lambda_p``.  ``custom`` ignores both arguments,
+    but ``n`` is checked as in :func:`rank_ratio` for every variant.
 
     Raises
     ------
     DegenerateSpectrum
         A named variant with ``lambda_p <= 0``, or one that overflows.
     """
+    n = _integer("n", n, positive=True)
     if spec.variant == "custom":
         return float(spec.custom_value)
     if not lambda_p > 0:
@@ -280,7 +284,7 @@ def rank_ratio_fractional(
     ``n`` determined by ``d_min``; ``delta`` is a slack exponent in
     ``[0, 1/2)``.  With ``d_min = 1, delta = 0`` the threshold degenerates
     to ``lambda_p`` itself and only eigenvalues tied with the smallest
-    qualify.
+    qualify.  ``n`` is checked as in :func:`rank_ratio`.
 
     Raises
     ------
@@ -289,6 +293,7 @@ def rank_ratio_fractional(
     ValueError
         Parameters outside ``d_min > 1/2`` or ``0 <= delta < 1/2``.
     """
+    n = _integer("n", n, positive=True)
     _check_fractional_args(d_min, delta)
     values = _validate_spectrum(eigen)
     exponent = d_min + delta - 1.0

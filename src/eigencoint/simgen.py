@@ -144,7 +144,7 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     ar, ma : sequence of float
         Autoregressive and moving-average coefficients.
     d : int
-        Non-negative integration order.
+        Integration order, a whole number ``>= 0`` (``2.0`` is ``2``).
     rng : numpy.random.Generator
         Innovation stream, required (keyword only); consumes exactly ``n``
         standard normals.
@@ -154,13 +154,17 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     NonstationaryAR
         AR polynomial has a root on or inside the unit circle.
     InvalidOrder
-        Negative or non-integer ``d``.
+        ``d`` not a whole number ``>= 0`` (also ``True``, ``nan`` or ``"1"``).
     """
     n = _integer("n", n)
     if n < 1:
         raise InvalidOrder(f"need n >= 1, got {n}")
-    if int(d) != d or d < 0:
-        raise InvalidOrder(f"integration order must be a non-negative integer, got {d}")
+    try:
+        order = _integer("d", d)
+    except ValueError:
+        order = -1
+    if order < 0:
+        raise InvalidOrder(f"integration order must be a non-negative integer, got {d!r}")
     ar = np.atleast_1d(np.asarray(ar, dtype=float))
     ma = np.atleast_1d(np.asarray(ma, dtype=float))
     _check_stationary_ar(ar)
@@ -169,7 +173,7 @@ def gen_arima(n: int, ar=(), d: int = 0, ma=(), *, rng) -> np.ndarray:
     b[0] = a[0] = 1.0
     b[1 : ma.size + 1, 0] = ma
     a[1 : ar.size + 1, 0] = -ar
-    return _integrate(_arma_filter(b, a, rng.standard_normal((n, 1)))[:, 0], d)
+    return _integrate(_arma_filter(b, a, rng.standard_normal((n, 1)))[:, 0], order)
 
 
 def _arma_filter(b: np.ndarray, a: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -227,8 +231,10 @@ def gen_arfima(n: int, d: float, ar=(), ma=(), *, rng) -> np.ndarray:
     Raises
     ------
     InvalidOrder
-        ``d`` outside ``(-1/2, 2]`` or at a half-integer.
+        ``d`` not a real number (``True`` is not), outside ``(-1/2, 2]``, or at a half-integer.
     """
+    if isinstance(d, bool) or not isinstance(d, numbers.Real):
+        raise InvalidOrder(f"fractional order must be a real number, got {d!r}")
     d = float(d)
     if not (-0.5 < d <= 2.0):
         raise InvalidOrder(f"fractional order must lie in (-1/2, 2], got {d}")

@@ -776,9 +776,9 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
 
 def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
     # Three callers at once on two cores, switching threads every
-    # microsecond: each call draws on its own thread only, scores its chunks
-    # in order on one other thread, and finishes chunk k's score before it
-    # draws chunk k + 2.
+    # microsecond: each call reads its two streams on its own thread only,
+    # in repetition order, scores its chunks in order on one other thread,
+    # and finishes chunk k's score before it reads chunk k + 2.
     reps, row = 2001, baselines._CHUNK_FLOATS // 2  # 1001 chunks of at most 2
     logs, failures = [], []
 
@@ -786,16 +786,25 @@ def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
         log, caller = [], threading.get_ident()
         logs.append(log)
 
-        def draw(k):
-            log.append(("draw", threading.get_ident() == caller, k))
-            return k
+        class Stream:
+            # Fills the first entry of each row with its repetition index.
+            def __init__(self, index):
+                self.index, self.read = index, 0
+
+            def standard_normal(self, out):
+                k = len(out)
+                log.append(("read", threading.get_ident() == caller, (self.index, k)))
+                out[:, 0] = np.arange(self.read, self.read + k)
+                self.read += k
+                return out
 
         def score(chunk, start):
-            log.append(("score", threading.get_ident() == caller, start))
+            in_order = (chunk[:, :, 0] == np.arange(start, start + chunk.shape[1])).all()
+            log.append(("score", threading.get_ident() == caller, (start, bool(in_order))))
             log.append(("scored", threading.get_ident() == caller, start))
 
         try:
-            baselines._draw_and_score(reps, row, draw, score)
+            baselines._draw_and_score([Stream(0), Stream(1)], reps, row, score)
         except BaseException as exc:
             failures.append(exc)
 
@@ -815,32 +824,62 @@ def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
     assert threading.active_count() == threads
     starts = list(range(0, reps, 2))
     for log in logs:
-        assert [(on, k) for kind, on, k in log if kind == "draw"] == (
-            [(True, 2)] * 1000 + [(True, 1)])
+        assert [(on, read) for kind, on, read in log if kind == "read"] == (
+            [(True, (s, 2)) for _ in range(1000) for s in (0, 1)]
+            + [(True, (0, 1)), (True, (1, 1))])
         assert [(on, start) for kind, on, start in log if kind == "score"] == [
-            (False, start) for start in starts]
-        draws = [i for i, (kind, _, _) in enumerate(log) if kind == "draw"]
+            (False, (start, True)) for start in starts]
+        reads = [i for i, (kind, _, _) in enumerate(log) if kind == "read"]
         scored = [i for i, (kind, _, _) in enumerate(log) if kind == "scored"]
-        assert all(scored[k] < draws[k + 2] for k in range(len(starts) - 2))
+        # Chunk k's reads are reads[2k] and reads[2k + 1].
+        assert all(scored[k] < reads[2 * (k + 2)] for k in range(len(starts) - 2))
 
 
 def test_draw_error_stops_scoring_and_joins_worker():
-    # The chunk in flight when a draw fails is scored; no later one is.
-    drawn, scored = [], []
+    # The chunk in flight when a read fails is scored; no later one is.
+    read, scored = [], []
 
-    def draw(k):
-        drawn.append(k)
-        if len(drawn) == 3:
-            raise RuntimeError("third draw")
-        return k
+    class Failing:
+        def standard_normal(self, out):
+            read.append(len(out))
+            if len(read) == 3:
+                raise RuntimeError("third read")
+            return out
 
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="third draw"):
-        baselines._draw_and_score(10, baselines._CHUNK_FLOATS // 2, draw,
+    with pytest.raises(RuntimeError, match="third read"):
+        baselines._draw_and_score([Failing()], 10, baselines._CHUNK_FLOATS // 2,
                                   lambda chunk, start: scored.append(start))
-    assert drawn == [2, 2, 2]
+    assert read == [2, 2, 2]
     assert scored == [0, 2]
     assert threading.active_count() == threads
+
+
+def test_draw_and_score_fills_each_stream_once_per_chunk():
+    # Each chunk's block of stream s is one standard_normal(out=...) fill of
+    # a C-contiguous (k, row) view: the stream's next k * row normals, so
+    # the chunks joined are standard_normal((reps, row)) of every stream.
+    reps, row, seeds = 70, 1000, (3, 4, 5)
+    assert baselines._chunk_reps(row) == 32  # chunks of 32, 32 and 6
+    fills, chunks = [], []
+
+    class Recorded:
+        def __init__(self, seed):
+            self.seed, self.rng = seed, derive_stream(seed)
+
+        def standard_normal(self, out):
+            fills.append((self.seed, out.shape, out.flags.c_contiguous))
+            return self.rng.standard_normal(out=out)
+
+    def score(chunk, start):
+        chunks.append((start, chunk.copy()))
+
+    baselines._draw_and_score([Recorded(seed) for seed in seeds], reps, row, score)
+    assert fills == [(seed, (k, row), True) for k in (32, 32, 6) for seed in seeds]
+    assert [start for start, _ in chunks] == [0, 32, 64]
+    joined = np.concatenate([chunk for _, chunk in chunks], axis=1)
+    for seed, rows in zip(seeds, joined):
+        assert rows.tobytes() == derive_stream(seed).standard_normal((reps, row)).tobytes()
 
 
 def test_unit_root_tables_back_to_back_match_the_loop_bitwise():

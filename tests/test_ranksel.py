@@ -342,9 +342,13 @@ def test_ratio_rules_match_the_largest_j_loop():
     rng = np.random.default_rng(89)
     for values in descending_spectra():
         eigen = eigen_from(values)
-        # Each eigenvalue as a cutoff (a tie with it is counted), then
-        # random sample sizes.
-        for n in [v / values[-1] for v in values] + list(rng.uniform(0.5, 5e3, 3)):
+        # The sample sizes either side of each eigenvalue's ratio to
+        # lambda_p (the ratio itself where it is whole: a tie, which is
+        # counted), then random sample sizes.
+        ratios = values / values[-1]
+        sizes = np.concatenate(
+            [np.floor(ratios), np.ceil(ratios), np.ceil(rng.uniform(0.5, 5e3, 3))])
+        for n in map(int, sizes):
             assert rank_ratio(eigen, n) == largest_j_at_or_below(values, float(n) * values[-1])
         d_min, delta = float(rng.uniform(0.51, 2.0)), float(rng.uniform(0.0, 0.49))
         n = int(rng.integers(10, 5000))
@@ -363,6 +367,21 @@ def test_rank_ic_matches_the_exact_criterion_argmin():
         # smaller l), then random penalties across the spectrum's range.
         for omega in list(values) + list(10.0 ** rng.uniform(-3.0, 31.0, 4)):
             assert rank_ic(eigen, omega) == ic_exact_argmin(values, omega)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, "100"], ids=["True", "fraction", "zero", "str"])
+def test_sample_size_must_be_a_whole_number(n):
+    eigen = eigen_from([1e6, 2.0, 1.0])
+    rules = [
+        lambda n: rank_ratio(eigen, n),
+        lambda n: rank_ratio_fractional(eigen, n, 1.5, 0.4),
+        lambda n: penalty(PenaltySpec(), n, 1.0),
+        lambda n: penalty(PenaltySpec("custom", 7.5), n, 1.0),
+    ]
+    for rule in rules:
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            rule(n)
+        assert rule(1000.0) == rule(1000)
 
 
 def test_value_equal_to_the_cutoff():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -237,6 +238,19 @@ def test_gen_arima_length_must_be_a_whole_number(n):
 def test_gen_arima_rejects_bad_order(d):
     with pytest.raises(InvalidOrder, match="non-negative integer"):
         gen_arima(50, d=d, rng=make_stream(0))
+
+
+@pytest.mark.parametrize("d", [True, math.nan, math.inf, None, "1"],
+                         ids=["True", "nan", "inf", "None", "str"])
+def test_integration_order_names_a_value_that_is_not_whole(d):
+    # A bool is not an order, and nan, inf, None or a string is not a
+    # number: each raises InvalidOrder naming the value as given.
+    with pytest.raises(InvalidOrder, match=f"non-negative integer, got {re.escape(repr(d))}$"):
+        gen_arima(50, d=d, rng=make_stream(0))
+    with pytest.raises(InvalidOrder, match=f"got {re.escape(repr(d))}$"):
+        gen_arfima(50, d, rng=make_stream(0))
+    whole = gen_arima(50, d=2.0, rng=make_stream(0))
+    assert whole.tobytes() == gen_arima(50, d=2, rng=make_stream(0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
