@@ -209,30 +209,50 @@ def _draw_and_score(rngs, reps: int, row: int, score) -> None:
     ``rngs`` in chunks, while one worker thread scores them.
 
     A chunk, shape ``(len(rngs), k, row)``, holds ``k <= m = min(reps,
-    _chunk_reps(row))`` repetitions of every stream.  The calling thread
-    fills the chunk's block ``[s]``, a C-contiguous ``(k, row)`` view, with one
+    _chunk_reps(row))`` repetitions of every stream.  Its block ``[s]``, a
+    C-contiguous ``(k, row)`` view, is filled by one
     ``rngs[s].standard_normal(out=...)`` (the bits of
-    ``standard_normal((k, row))``), then hands the chunk to the worker,
-    which runs ``score(chunk, start)`` while the next chunk is read.  The
-    chunks alternate between two buffers allocated up front: chunk ``k``'s
-    score returns before chunk ``k + 2`` is read, and a scorer must not keep
-    a chunk past its call.  Only the calling thread reads, so every stream
-    is read in repetition order whatever the thread timing.  After an error
-    in either thread no further chunk is scored, and the error is raised
-    here, after the worker has been joined.  The worker is one plain
-    ``threading.Thread`` fed through two semaphores: ``concurrent.futures``
-    took 6-10 ms to import in a cold CLI process, where nothing else uses it.
+    ``standard_normal((k, row))``), and the worker runs ``score(chunk,
+    start)`` on the chunks in order.  The chunks alternate between two
+    buffers allocated up front, and a scorer must not keep a chunk past its
+    call.
 
-    The two threads overlap only while the worker runs without the GIL.
-    Philox fills, ``np.linalg.solve``, stacked ``@`` and the scorers'
-    elementwise ufuncs and reductions release it.  ``np.cumsum``,
-    ``np.trace`` and ``np.vecdot`` over 500 row pairs or fewer hold it: the
-    unit-root ``vecdot`` over ``k`` walks (13 at ``n = 2500``), and the
-    trace ``vecdot`` while ``k D^2 <= 500``.  Measured (2 cores, NumPy
-    2.4): 300 Philox fills of ``13 x 2500`` take 0.17 s alone, 0.18-0.24 s
-    next to a worker looping one of the first group (``vecdot`` over 501 to
-    4608 row pairs among them), and 1.6-2.0 s next to one looping one of the
-    second (``vecdot`` over 13, 32 or 500).
+    Both threads read.  Each block is claimed, under one
+    ``threading.Condition``, by whichever thread asks first: the calling
+    thread reads and never scores; the worker claims blocks of chunk ``i``
+    only once it has scored chunk ``i - 1``, that is when it would
+    otherwise wait for chunk ``i``.  So when scoring costs less than
+    reading (the dims 1..12 table) each chunk takes about half its reads
+    plus its score, and when scoring costs more (dims 1..28) the worker
+    reads nothing after the first chunk and nothing changes.  Three rules
+    keep every bit independent of the thread timing:
+
+    - chunk ``i + 1`` opens for claims only once every block of chunk ``i``
+      is filled, so each stream is read in repetition order, each block
+      once, and never by both threads at once;
+    - a chunk is scored only once all its blocks are filled;
+    - chunk ``i + 2`` is not read until chunk ``i`` is scored, as it
+      reuses chunk ``i``'s buffer.
+
+    After an error in either thread no block is claimed; a chunk whose
+    blocks were all filled before it is still scored, and the error is
+    raised here, after the worker has been joined.  The worker is one plain
+    ``threading.Thread``: ``concurrent.futures`` took 6-10 ms to import in
+    a cold CLI process, where nothing else uses it.
+
+    The two threads overlap only while neither holds the GIL.  Philox
+    fills, ``np.linalg.solve``, stacked ``@`` and the scorers' elementwise
+    ufuncs and reductions release it.  An N-d ``np.cumsum`` of 500 rows or
+    fewer, ``np.trace`` and ``np.vecdot`` over 500 row pairs or fewer hold
+    it: the trace chunk's cumsum (``D k`` rows, 384 for dims 1..12 at
+    ``T = 1000``), the unit-root ``vecdot`` over ``k`` walks (13 at ``n =
+    2500``), and the trace ``vecdot`` while ``k D^2 <= 500``.  Measured (2
+    cores, NumPy 2.4): 300 Philox fills of ``13 x 2500`` take 0.17 s alone,
+    0.18-0.24 s next to a worker looping one of the first group (``vecdot``
+    over 501 to 4608 row pairs among them), and 1.6-2.0 s next to one
+    looping one of the second (``vecdot`` over 13, 32 or 500).  A 1-D
+    ``cumsum`` per row releases the GIL but made the dims 1..12 table no
+    faster (0.51-0.71 s against 0.50-0.64 s in-process, 12 runs each).
 
     The two threads also need both cores, so build a table before any
     threaded BLAS work in the process.  OpenBLAS's own worker thread, once
@@ -247,43 +267,69 @@ def _draw_and_score(rngs, reps: int, row: int, score) -> None:
     """
     m = min(reps, _chunk_reps(row))
     buffers = np.empty((2, len(rngs), m, row))
-    job = []  # (chunk, start) handed to the worker; empty tells it to stop
-    errors = []
-    handed = threading.Semaphore(0)
-    scored = threading.Semaphore(0)
+    starts = range(0, reps, m)
+    chunks = [buffers[i % 2, :, :min(m, reps - start)] for i, start in enumerate(starts)]
+    cond = threading.Condition()
+    errors = []  # the first is raised here; any stops all claims
+    # Under ``cond``: chunks before ``opened`` are filled; ``claimed`` and
+    # ``filled`` count the blocks of chunk ``opened``; ``scored`` chunks are
+    # scored; ``stopped`` once the calling thread has left its loop.
+    opened = claimed = filled = scored = 0
+    stopped = False
+
+    def claim(i: int) -> bool:
+        """With ``cond`` held and chunk ``i`` open, fill its next unclaimed
+        block once chunk ``i - 2`` is scored (releasing ``cond`` meanwhile);
+        say whether a block was filled or failed."""
+        nonlocal opened, claimed, filled
+        if claimed == len(rngs) or scored < i - 1:
+            return False
+        s, claimed = claimed, claimed + 1
+        cond.release()
+        try:
+            rngs[s].standard_normal(out=chunks[i][s])
+        except BaseException as exc:  # raised by the calling thread
+            cond.acquire()
+            errors.append(exc)
+        else:
+            cond.acquire()
+            filled += 1
+            if filled == len(rngs):
+                opened, claimed, filled = i + 1, 0, 0
+        cond.notify_all()
+        return True
 
     def work() -> None:
-        while True:
-            handed.acquire()
-            if not job:
-                return
+        nonlocal scored
+        for i, start in enumerate(starts):
+            with cond:
+                while opened == i:
+                    if errors or stopped:
+                        return
+                    if not claim(i):
+                        cond.wait()
             try:
-                score(*job)
+                score(chunks[i], start)
             except BaseException as exc:  # raised by the calling thread
-                errors.append(exc)
-            scored.release()
+                with cond:
+                    errors.append(exc)
+                    cond.notify_all()
+                return
+            with cond:
+                scored += 1
+                cond.notify_all()
 
     worker = threading.Thread(target=work, name="eigencoint-score")
     worker.start()
-    busy = False
     try:
-        for i, start in enumerate(range(0, reps, m)):
-            chunk = buffers[i % 2, :, :min(m, reps - start)]
-            for rng, rows in zip(rngs, chunk):
-                rng.standard_normal(out=rows)
-            if busy:
-                scored.acquire()
-                busy = False
-                if errors:
-                    break
-            job[:] = (chunk, start)
-            handed.release()
-            busy = True
+        with cond:
+            while opened < len(chunks) and not errors:
+                if not claim(opened):
+                    cond.wait()
     finally:
-        if busy:
-            scored.acquire()
-        job.clear()
-        handed.release()
+        with cond:
+            stopped = True
+            cond.notify_all()
         worker.join()
     if errors:
         raise errors[0]
@@ -306,9 +352,12 @@ def _trace_stat_sample(dims, T: int, reps: int, seed: int) -> np.ndarray:
     chunk size or the thread timing.
 
     The worker integrates each chunk (cumulative sum, demeaning) into one
-    ``(D, m, T)`` buffer allocated up front, forms the products and solves.
-    It calls raw ``np.linalg.solve`` and no package function, so nothing on
-    the worker thread is timed by a caller's wrapper.
+    ``(D, m, T)`` buffer allocated up front, forms the products and solves;
+    whenever it has scored a chunk before the next is read, it reads some
+    of the next chunk's ``D`` stream blocks itself.  It calls raw
+    ``np.linalg.solve``, the streams' own ``standard_normal`` and no
+    package function, so nothing on the worker thread is timed by a
+    caller's wrapper.
     """
     D = max(dims)
     sample = np.empty((len(dims), reps))

@@ -774,17 +774,71 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
+class LoggedStream:
+    """``derive_stream(seed)`` that logs each fill as ``("read", thread,
+    seed, first repetition, k)`` before it and ``("filled", ...)`` after it,
+    sleeps ``delay`` seconds in between, and raises there if ``fail(self)``."""
+
+    def __init__(self, seed, log, delay=0.0, fail=lambda stream: False):
+        self.seed, self.log, self.delay, self.fail = seed, log, delay, fail
+        self.rng, self.read = derive_stream(seed), 0
+
+    def standard_normal(self, out):
+        entry = (threading.get_ident(), self.seed, self.read, len(out))
+        self.log.append(("read",) + entry)
+        time.sleep(self.delay)
+        if self.fail(self):
+            raise RuntimeError(f"fill of stream {self.seed} at {self.read}")
+        self.rng.standard_normal(out=out)
+        self.read += len(out)
+        self.log.append(("filled",) + entry)
+        return out
+
+
+def check_reads(log, seeds, reps, m):
+    """Each stream's blocks are read once each, in repetition order, and no
+    block of chunk ``c + 1`` is read before every block of chunk ``c`` is
+    filled (so block ``i + 1`` of a stream only after block ``i``).  Return
+    the log index of each chunk's first read."""
+    blocks = [(first, min(m, reps - first)) for first in range(0, reps, m)]
+    for seed in seeds:
+        for kind in ("read", "filled"):
+            got = [(e[3], e[4]) for e in log if e[0] == kind and e[2] == seed]
+            assert got == blocks[:len(got)]
+    first_read, fills = {}, {}
+    for at, entry in enumerate(log):
+        if entry[0] == "read":
+            first_read.setdefault(entry[3] // m, at)
+        elif entry[0] == "filled":
+            fills.setdefault(entry[3] // m, []).append(at)
+    for c in first_read:
+        if c > 0:
+            assert len(fills[c - 1]) == len(seeds) and max(fills[c - 1]) < first_read[c]
+    return first_read
+
+
+def check_join(chunks, seeds, reps, row, m):
+    """The scored chunks, in order and joined, are each stream's first
+    ``reps`` repetitions of ``row`` normals, bitwise."""
+    assert [start for start, _ in chunks] == list(range(0, reps, m))
+    joined = np.concatenate([chunk for _, chunk in chunks], axis=1)
+    for seed, rows in zip(seeds, joined):
+        assert rows.tobytes() == derive_stream(seed).standard_normal((reps, row)).tobytes()
+
+
 def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
     # Three callers at once on two cores, switching threads every
-    # microsecond: each call reads its two streams on its own thread only,
-    # in repetition order, scores its chunks in order on one other thread,
-    # and finishes chunk k's score before it reads chunk k + 2.
+    # microsecond: each call's caller and worker share the reads, yet each
+    # stream is read once per block in repetition order and chunk k + 1 only
+    # after chunk k is filled; the chunks are scored in order, with the
+    # right contents, on one thread other than the caller, and chunk k's
+    # score returns before chunk k + 2 is read.
     reps, row = 2001, baselines._CHUNK_FLOATS // 2  # 1001 chunks of at most 2
     logs, failures = [], []
 
     def one_call() -> None:
         log, caller = [], threading.get_ident()
-        logs.append(log)
+        logs.append((log, caller))
 
         class Stream:
             # Fills the first entry of each row with its repetition index.
@@ -792,16 +846,17 @@ def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
                 self.index, self.read = index, 0
 
             def standard_normal(self, out):
-                k = len(out)
-                log.append(("read", threading.get_ident() == caller, (self.index, k)))
-                out[:, 0] = np.arange(self.read, self.read + k)
-                self.read += k
+                entry = (threading.get_ident(), self.index, self.read, len(out))
+                log.append(("read",) + entry)
+                out[:, 0] = np.arange(self.read, self.read + len(out))
+                self.read += len(out)
+                log.append(("filled",) + entry)
                 return out
 
         def score(chunk, start):
             in_order = (chunk[:, :, 0] == np.arange(start, start + chunk.shape[1])).all()
-            log.append(("score", threading.get_ident() == caller, (start, bool(in_order))))
-            log.append(("scored", threading.get_ident() == caller, start))
+            log.append(("score", threading.get_ident(), start, bool(in_order)))
+            log.append(("scored", threading.get_ident(), start))
 
         try:
             baselines._draw_and_score([Stream(0), Stream(1)], reps, row, score)
@@ -823,16 +878,14 @@ def test_draw_and_score_keeps_its_order_under_fast_thread_switches():
     assert failures == []
     assert threading.active_count() == threads
     starts = list(range(0, reps, 2))
-    for log in logs:
-        assert [(on, read) for kind, on, read in log if kind == "read"] == (
-            [(True, (s, 2)) for _ in range(1000) for s in (0, 1)]
-            + [(True, (0, 1)), (True, (1, 1))])
-        assert [(on, start) for kind, on, start in log if kind == "score"] == [
-            (False, (start, True)) for start in starts]
-        reads = [i for i, (kind, _, _) in enumerate(log) if kind == "read"]
-        scored = [i for i, (kind, _, _) in enumerate(log) if kind == "scored"]
-        # Chunk k's reads are reads[2k] and reads[2k + 1].
-        assert all(scored[k] < reads[2 * (k + 2)] for k in range(len(starts) - 2))
+    for log, caller in logs:
+        first_read = check_reads(log, (0, 1), reps, 2)
+        assert len(first_read) == len(starts)
+        scores = [e for e in log if e[0] == "score"]
+        assert [(start, ok) for _, _, start, ok in scores] == [(start, True) for start in starts]
+        assert len({thread for _, thread, _, _ in scores} | {caller}) == 2
+        scored = [at for at, e in enumerate(log) if e[0] == "scored"]
+        assert all(scored[k] < first_read[k + 2] for k in range(len(starts) - 2))
 
 
 def test_draw_error_stops_scoring_and_joins_worker():
@@ -875,11 +928,114 @@ def test_draw_and_score_fills_each_stream_once_per_chunk():
         chunks.append((start, chunk.copy()))
 
     baselines._draw_and_score([Recorded(seed) for seed in seeds], reps, row, score)
-    assert fills == [(seed, (k, row), True) for k in (32, 32, 6) for seed in seeds]
-    assert [start for start, _ in chunks] == [0, 32, 64]
-    joined = np.concatenate([chunk for _, chunk in chunks], axis=1)
-    for seed, rows in zip(seeds, joined):
-        assert rows.tobytes() == derive_stream(seed).standard_normal((reps, row)).tobytes()
+    for seed in seeds:
+        assert [(shape, c) for s, shape, c in fills if s == seed] == [
+            ((k, row), True) for k in (32, 32, 6)]
+    check_join(chunks, seeds, reps, row, 32)
+
+
+def test_draw_and_score_worker_reads_while_the_scorer_would_wait():
+    # Slow fills and an instant scorer: having scored chunk c - 1, the
+    # worker fills blocks of chunk c instead of waiting for the caller.
+    reps, row, seeds = 40, 4096, (3, 4, 5, 6)
+    m = baselines._chunk_reps(row)
+    assert m == 8  # five chunks of four blocks
+    log, chunks, caller = [], [], threading.get_ident()
+    rngs = [LoggedStream(seed, log, delay=0.002) for seed in seeds]
+    baselines._draw_and_score(rngs, reps, row, lambda chunk, start: chunks.append(
+        (start, chunk.copy())))
+    check_reads(log, seeds, reps, m)
+    assert any(e[1] != caller and e[3] >= m for e in log if e[0] == "read")
+    check_join(chunks, seeds, reps, row, m)
+
+
+def test_draw_and_score_caller_reads_while_the_worker_scores():
+    # A slow scorer: chunk c + 1 is filled by the caller while the worker
+    # scores chunk c, so the worker never waits for a block of it and reads
+    # none (chunk 0, before there is anything to score, either may read),
+    # and chunk c + 2 waits for chunk c's score.
+    reps, row, seeds = 40, 4096, (3, 4, 5, 6)
+    m = baselines._chunk_reps(row)
+    log, chunks, caller = [], [], threading.get_ident()
+
+    def score(chunk, start):
+        time.sleep(0.05)
+        chunks.append((start, chunk.copy()))
+        log.append(("scored", threading.get_ident(), start))
+
+    baselines._draw_and_score([LoggedStream(seed, log) for seed in seeds], reps, row, score)
+    first_read = check_reads(log, seeds, reps, m)
+    assert all(e[1] == caller for e in log if e[0] == "read" and e[3] >= m)
+    scored = [at for at, e in enumerate(log) if e[0] == "scored"]
+    assert all(scored[k] < first_read[k + 2] for k in range(len(scored) - 2))
+    check_join(chunks, seeds, reps, row, m)
+
+
+def test_draw_and_score_raises_a_worker_fill_error_after_filled_chunks():
+    # A fill that fails on the worker thread (its first block from chunk 2
+    # on): the caller raises it after joining the worker, no block is read
+    # after it, and every chunk filled before it is scored.
+    reps, row, seeds = 80, 4096, (3, 4, 5, 6)
+    m = baselines._chunk_reps(row)  # ten chunks
+    log, chunks, caller = [], [], threading.get_ident()
+
+    def off_caller(stream):
+        return threading.get_ident() != caller and stream.read >= 2 * m
+
+    rngs = [LoggedStream(seed, log, delay=0.002, fail=off_caller) for seed in seeds]
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="fill of stream"):
+        baselines._draw_and_score(rngs, reps, row, lambda chunk, start: chunks.append(
+            (start, chunk.copy())))
+    assert threading.active_count() == threads
+    first_read = check_reads(log, seeds, reps, m)
+    failed = max(first_read)  # no chunk is read after the one that failed
+    assert [e[3] // m for e in log if e[0] == "read" and e[1] != caller and e[3] >= 2 * m] == [
+        failed]
+    check_join(chunks, seeds, failed * m, row, m)
+
+
+def test_draw_and_score_trace_sample_is_bitwise_under_sleepy_streams(monkeypatch):
+    # The real sampler, its Philox streams each sleeping a seeded random
+    # 0-200 us before every fill, switching threads every microsecond, and
+    # also two samples built at once: every one is bitwise the plain run,
+    # in chunks of 327 (four chunks) and of 7 repetitions (143).
+    dims, args = (1, 2, 3, 4, 5), {"T": 100, "reps": 1000, "seed": 9}
+    expected = baselines._trace_stat_sample(dims, **args)
+    stream = baselines.derive_stream
+
+    class Sleepy:
+        def __init__(self, seed, *key):
+            self.rng, self.pauses = stream(seed, *key), np.random.default_rng(key)
+
+        def standard_normal(self, out):
+            time.sleep(self.pauses.uniform(0.0, 2e-4))
+            return self.rng.standard_normal(out=out)
+
+    got = []
+
+    def sample():
+        got.append(baselines._trace_stat_sample(dims, **args))
+
+    monkeypatch.setattr(baselines, "derive_stream", Sleepy)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk_floats in (baselines._CHUNK_FLOATS, 7 * 100):
+            monkeypatch.setattr(baselines, "_CHUNK_FLOATS", chunk_floats)
+            sample()
+            pair = [threading.Thread(target=sample) for _ in range(2)]
+            for t in pair:
+                t.start()
+            for t in pair:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert len(got) == 6
+    for sample_ in got:
+        assert sample_.tobytes() == expected.tobytes()
 
 
 def test_unit_root_tables_back_to_back_match_the_loop_bitwise():
