@@ -5,8 +5,12 @@ streams recorded in the table metadata) rather than hard-coded external
 tables, so every reported number is reproducible from seeds alone.  Each
 table has one plain function, :func:`trace_critical_table` and
 :func:`unit_root_critical_table`: it checks its own arguments (the checks
-both share in one helper), calls its sampler, and turns the samples into
-quantiles through one small helper.  Each returns one table whose dims
+both share in one helper), then returns the packaged rows if the default
+tables shipped in ``data/critical_default.json`` cover the request, and
+otherwise calls its sampler and turns the samples into quantiles through
+one small helper.  The packaged tables were simulated by that same path
+(``tools/build_critical_tables.py`` rebuilds them), so a stored row is
+bitwise the row a simulation would give.  Each returns one table whose dims
 are its sizes: dimensions for the trace table, series lengths for the
 unit-root table.  The trace table scores every dimension from one nested
 draw: column ``c`` of each repetition comes from ``derive_stream(seed, c)``,
@@ -51,6 +55,8 @@ the count of rejections estimates the cointegration rank.
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -90,6 +96,15 @@ DEFAULT_TRACE_T = 1000
 DEFAULT_TRACE_REPS = 2000
 #: Default repetitions of the unit-root critical-value table.
 DEFAULT_UNIT_ROOT_REPS = 4000
+#: Package data file of the default tables: a JSON list of
+#: :meth:`CriticalTable.to_dict` entries, rebuilt by
+#: ``tools/build_critical_tables.py`` and never written at run time.  A
+#: path beside this module, not ``importlib.resources``, whose import pulls
+#: in ``pathlib``, ``tempfile`` and more where nothing has loaded them yet.
+_PACKAGED_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                              "critical_default.json")
+#: The packaged tables once read (see :func:`_packaged_tables`).
+_packaged: Optional[tuple] = None
 
 
 def derive_stream(seed: int, *key: int) -> np.random.Generator:
@@ -414,26 +429,66 @@ def _quantile_table(samples, dims, levels, quantiles, meta: dict) -> CriticalTab
     return CriticalTable(dims=dims, levels=levels, values=values, meta=meta)
 
 
+def _packaged_tables() -> tuple:
+    """The tables of the package data file, read and checked through
+    :meth:`CriticalTable.from_dict` on the first call in a process."""
+    global _packaged
+    if _packaged is None:
+        with open(_PACKAGED_PATH, encoding="utf-8") as fh:
+            _packaged = tuple(CriticalTable.from_dict(entry) for entry in json.load(fh))
+    return _packaged
+
+
+def _packaged_rows(dims, levels, meta: dict) -> Optional[CriticalTable]:
+    """The packaged rows for ``dims``, or None if no packaged table serves them.
+
+    A packaged table serves a request only if its whole ``meta`` (the
+    sampler tag too) and its levels equal the request's and its dims cover
+    every one of ``dims``.  Its rows are then those a simulation of
+    ``dims`` alone would give, bit for bit: a row depends only on its own
+    size and the meta.
+    """
+    for table in _packaged_tables():
+        if table.meta == meta and table.levels == levels and set(dims) <= set(table.dims):
+            rows = [table.dims.index(d) for d in dims]
+            return CriticalTable(dims, levels, table.values[rows], dict(meta))
+    return None
+
+
+def _trace_meta(T: int, reps: int, seed: int) -> dict:
+    return {"T": T, "reps": reps, "seed": seed, "statistic": "trace", "sampler": "nested-dot"}
+
+
+def _simulate_trace_table(dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
+    """The trace table for checked arguments, always simulated: a lookup
+    miss of :func:`trace_critical_table` and the table build both run it."""
+    samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
+    meta = _trace_meta(T, reps, seed)
+    return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
+
+
 def trace_critical_table(
     dims, levels=(DEFAULT_LEVEL,), T: int = DEFAULT_TRACE_T, reps: int = DEFAULT_TRACE_REPS,
     seed: int = 0,
 ) -> CriticalTable:
-    """Simulate trace critical values for several dimensions at once.
+    """Trace critical values for several dimensions at once.
 
     The table's dims are ``dims`` sorted ascending with repeats dropped, and
     it stores upper-tail (``1 - level``) quantiles.  Every dimension (a
-    whole number: ``2.0`` is ``2``), then
-    every level, ``T``, ``reps`` and the seed are validated before any
-    simulation starts.  All dims are then scored from one nested draw
-    (:func:`_trace_stat_sample`, looked up at call time): column ``c`` of
-    each repetition comes from the stream ``derive_stream(seed, c)``, and
-    dim ``d`` uses columns ``1..d``.  A row therefore depends only on
-    ``(seed, T, reps, d)``, so a table built for dims 1..8 agrees exactly
-    with one built for dims 1..3 under the same seed.  Values increase with
-    dimension at fixed level.  ``meta["sampler"]`` is ``"nested-dot"``, so
-    that a table cached by an earlier sampler (untagged, or ``"nested"``,
-    whose products rounded differently) never merges with one built by this
-    one.
+    whole number: ``2.0`` is ``2``), then every level, ``T``, ``reps`` and
+    the seed are validated first.  At the defaults (``T=1000``, 2000 reps,
+    seed 0, levels ``(0.05,)``) with every dim at most 60, the rows are
+    read from the package's stored table, which was simulated the same
+    way, and no stream is drawn.  Otherwise all dims are scored from one
+    nested draw (:func:`_trace_stat_sample`, looked up at call time):
+    column ``c`` of each repetition comes from the stream
+    ``derive_stream(seed, c)``, and dim ``d`` uses columns ``1..d``.  A
+    row therefore depends only on ``(seed, T, reps, d)``, so a table built
+    for dims 1..8 agrees exactly with one built for dims 1..3 under the
+    same seed.  Values increase with dimension at fixed level.
+    ``meta["sampler"]`` is ``"nested-dot"``, so that a table cached by an
+    earlier sampler (untagged, or ``"nested"``, whose products rounded
+    differently) never merges with one built by this one.
     """
     dims = tuple(sorted({_integer("dim", d) for d in dims}))
     levels = tuple(float(lv) for lv in levels)
@@ -441,10 +496,8 @@ def trace_critical_table(
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
     (T,), reps, seed = _check_table_args(levels, _check_trace_T, (T,), reps, seed)
-    samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
-    meta = {"T": T, "reps": reps, "seed": seed, "statistic": "trace",
-            "sampler": "nested-dot"}
-    return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
+    stored = _packaged_rows(dims, levels, _trace_meta(T, reps, seed))
+    return stored if stored is not None else _simulate_trace_table(dims, levels, T, reps, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -651,25 +704,42 @@ def _unit_root_stats(
     return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 
+def _unit_root_meta(reps: int, seed: int) -> dict:
+    return {"reps": reps, "seed": seed, "statistic": "unit_root"}
+
+
+def _simulate_unit_root_table(lengths, levels, reps: int, seed: int) -> CriticalTable:
+    """The unit-root table for checked arguments, always simulated: a lookup
+    miss of :func:`unit_root_critical_table` and the table build both run
+    it."""
+    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
+    return _quantile_table(samples, lengths, levels, list(levels), _unit_root_meta(reps, seed))
+
+
 def unit_root_critical_table(
     n, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
 ) -> CriticalTable:
-    """Simulate the null distribution of :func:`unit_root_stat`.
+    """Critical values from the null distribution of :func:`unit_root_stat`.
 
     The null is a pure random walk of the length of the series to be
     tested.  ``n`` is one length or a sequence of them; the table's dims
     are the lengths, sorted with repeats dropped as
     :func:`trace_critical_table` sorts its dims, and it stores lower-tail
-    (``level``) quantiles.  Every length reads its walks from the start of
-    the one stream ``derive_stream(seed, 1)``, so one pass of it
+    (``level``) quantiles.  At the defaults (4000 reps, seed 0, levels
+    ``(0.05,)``) with every length one of 300, 500, 1000, 1500, 2000 and
+    2500, the rows are read from the package's stored table, which was
+    simulated the same way, and no stream is drawn.  Any other request is
+    simulated: every length reads its walks from the start of the one
+    stream ``derive_stream(seed, 1)``, so one pass of it
     (:func:`_unit_root_stat_sample`, looked up at call time) serves every
     length, and a row depends only on ``(seed, reps, n)``: it is bitwise
     that of one walk at a time, and that of a table for its length alone.
     ``meta`` is ``{reps, seed, statistic}``.
 
-    Every argument is validated before the first draw, also for an empty
-    sequence: each length is a whole number (``300.0`` is ``300``), then
-    the levels, every length, ``reps`` and the seed.
+    Every argument is validated before the stored table is consulted or
+    a stream drawn, also for an empty sequence: each length is a whole
+    number (``300.0`` is ``300``), then the levels, every length, ``reps``
+    and the seed.
 
     Raises
     ------
@@ -682,9 +752,8 @@ def unit_root_critical_table(
     lengths = tuple(sorted({_integer("n", size) for size in ((n,) if np.ndim(n) == 0 else n)}))
     levels = tuple(float(lv) for lv in levels)
     lengths, reps, seed = _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
-    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
-    meta = {"reps": reps, "seed": seed, "statistic": "unit_root"}
-    return _quantile_table(samples, lengths, levels, list(levels), meta)
+    stored = _packaged_rows(lengths, levels, _unit_root_meta(reps, seed))
+    return stored if stored is not None else _simulate_unit_root_table(lengths, levels, reps, seed)
 
 
 def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:

@@ -206,8 +206,9 @@ def cmd_analyze(args) -> int:
         raise _InputError(
             f"{args.input}: {n} rows is too short for unitroot (need n >= {_UNIT_ROOT_MIN_N})"
         )
-    # The table's two threads need both cores: build it before the fit wakes
-    # OpenBLAS's worker (baselines._draw_and_score).
+    # A table the package does not store is simulated on two threads, which
+    # need both cores: build it before the fit wakes OpenBLAS's worker
+    # (baselines._draw_and_score).  A stored one is only read.
     if "unitroot" in methods:
         crit = unit_root_critical_table(n=n, levels=(args.level,), seed=args.seed)
     fitted = fit(y, args.j0)

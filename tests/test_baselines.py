@@ -232,15 +232,23 @@ def trace_quantile(T, reps, rng, level=0.05):
         ({"dim": True}, "dim must be an integer, got True"),
         ({"T": 100.5}, "T must be an integer, got 100.5"),
         ({"reps": 1000.5}, "reps must be an integer, got 1000.5"),
+        ({"level": 1.0}, "level must lie in"),
+        ({"seed": -1}, "seed >= 0"),
     ],
 )
-def test_sim_trace_critical_validates_arguments(kwargs, match):
-    full = {"dim": 1, "level": 0.05, "T": 100, "reps": 1000}
+def test_sim_trace_critical_validates_arguments(monkeypatch, kwargs, match):
+    # The other arguments are the stored table's, so validation must come
+    # before the lookup.
+    lookups = []
+    monkeypatch.setattr(baselines, "_packaged_rows", lambda *args: lookups.append(args))
+    full = {"dim": 1, "level": 0.05, "T": 1000, "reps": 2000, "seed": 0}
     full.update(kwargs)
     with pytest.raises(ValueError, match=match):
         trace_critical_table(
-            dims=(full["dim"],), levels=(full["level"],), T=full["T"], reps=full["reps"]
+            dims=(full["dim"],), levels=(full["level"],), T=full["T"], reps=full["reps"],
+            seed=full["seed"],
         )
+    assert lookups == []
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.1])
@@ -277,7 +285,8 @@ def test_trace_table_values_increase_with_dimension(trace_table):
 
 
 def test_trace_table_subset_rows_agree_bitwise(trace_table):
-    sub = trace_critical_table(dims=(2,), T=1000, reps=2000, seed=0)
+    # Simulated: at these defaults trace_critical_table reads stored rows.
+    sub = baselines._simulate_trace_table((2,), (0.05,), 1000, 2000, 0)
     assert_array_equal(sub.values[0], trace_table.values[1])
 
 
@@ -404,7 +413,7 @@ def test_trace_table_raises_worker_error_and_joins_worker(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", failing_fifth)
     threads = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="third chunk"):
-        trace_critical_table(dims=(1, 2), T=1000, reps=2000)
+        trace_critical_table(dims=(1, 2), T=1000, reps=2000, seed=1)
     assert len(calls) == 5
     assert threading.active_count() == threads
 
@@ -415,6 +424,102 @@ def test_trace_table_validates_every_dim_before_simulating(monkeypatch):
     with pytest.raises(ValueError, match="dim >= 1"):
         trace_critical_table(dims=(1, 0), T=100, reps=1000)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the default tables stored in the package
+
+STORED_LENGTHS = (300, 500, 1000, 1500, 2000, 2500)
+
+
+def refuse_streams(monkeypatch):
+    def refuse(*key):
+        raise AssertionError(f"drew stream {key}")
+    monkeypatch.setattr(baselines, "derive_stream", refuse)
+
+
+def kwargs_id(value):
+    """A parameter id naming a dict's items, such as ``seed=1``."""
+    return ",".join(f"{k}={v}" for k, v in value.items()) if isinstance(value, dict) else None
+
+
+def test_stored_tables_are_the_default_tables():
+    trace, unit_root = baselines._packaged_tables()
+    assert trace.dims == tuple(range(1, 61)) and unit_root.dims == STORED_LENGTHS
+    assert trace.levels == unit_root.levels == (0.05,)
+    assert trace.meta == baselines._trace_meta(1000, 2000, 0)
+    assert unit_root.meta == baselines._unit_root_meta(4000, 0)
+
+
+def test_stored_rows_equal_a_fresh_simulation(monkeypatch):
+    fresh_trace = baselines._simulate_trace_table((1, 2, 3), (0.05,), 1000, 2000, 0)
+    fresh_unit_root = baselines._simulate_unit_root_table((300,), (0.05,), 4000, 0)
+    refuse_streams(monkeypatch)
+    for stored, fresh in ((trace_critical_table(dims=(1, 2, 3)), fresh_trace),
+                          (unit_root_critical_table(300), fresh_unit_root)):
+        assert (stored.dims, stored.levels, stored.meta) == (fresh.dims, fresh.levels, fresh.meta)
+        assert stored.values.tobytes() == fresh.values.tobytes()
+
+
+def test_default_tables_draw_no_stream(monkeypatch):
+    refuse_streams(monkeypatch)
+    full = trace_critical_table(dims=range(1, 61))
+    assert full.dims == tuple(range(1, 61)) and full.values.shape == (60, 1)
+    # Any subset of the stored sizes is served, in the requested order.
+    sub = trace_critical_table(dims=(12, 3), levels=[0.05], T=1000.0, reps=2000, seed=0)
+    assert sub.dims == (3, 12)
+    assert_array_equal(sub.values, full.values[[2, 11]])
+    lengths = unit_root_critical_table(n=STORED_LENGTHS)
+    assert lengths.dims == STORED_LENGTHS
+    alone = unit_root_critical_table(2500)
+    assert alone.dims == (2500,) and alone.values[0, 0] == lengths.values[-1, 0]
+    assert alone.meta == {"reps": 4000, "seed": 0, "statistic": "unit_root"}
+
+
+@pytest.mark.parametrize("table, kwargs", [
+    ("trace", {"seed": 1}),
+    ("trace", {"reps": 3000}),
+    ("trace", {"T": 500}),
+    ("trace", {"levels": (0.1,)}),
+    ("trace", {"levels": (0.05, 0.1)}),
+    ("trace", {"dims": (61,)}),
+    ("trace", {"dims": (60, 61)}),
+    ("unit_root", {"seed": 1}),
+    ("unit_root", {"reps": 5000}),
+    ("unit_root", {"levels": (0.1,)}),
+    ("unit_root", {"n": 400}),
+    ("unit_root", {"n": (300, 400)}),
+], ids=kwargs_id)
+def test_requests_outside_the_stored_tables_simulate(monkeypatch, table, kwargs):
+    calls = []
+    name = "_simulate_trace_table" if table == "trace" else "_simulate_unit_root_table"
+    monkeypatch.setattr(baselines, name, lambda *args: calls.append(args) or "simulated")
+    if table == "trace":
+        args = {"dims": (1, 2), **kwargs}
+        assert trace_critical_table(**args) == "simulated"
+    else:
+        args = {"n": 300, **kwargs}
+        assert unit_root_critical_table(**args) == "simulated"
+    assert len(calls) == 1
+
+
+def test_stored_table_serves_only_its_whole_meta():
+    meta = baselines._trace_meta(1000, 2000, 0)
+    assert baselines._packaged_rows((1,), (0.05,), meta) is not None
+    for key, value in (("sampler", "nested-chol"), ("statistic", "unit_root"), ("extra", 1)):
+        assert baselines._packaged_rows((1,), (0.05,), {**meta, key: value}) is None
+    assert baselines._packaged_rows((300,), (0.05,), {"reps": 4000, "seed": 0}) is None
+
+
+def test_stored_tables_are_read_once_per_process(monkeypatch):
+    reads = []
+    monkeypatch.setattr(baselines, "_packaged", None)
+    monkeypatch.setattr(baselines, "open", lambda path, **kw: reads.append(path) or open(path, **kw),
+                        raising=False)
+    trace_critical_table(dims=(1,))
+    unit_root_critical_table(300)
+    trace_critical_table(dims=(1,), T=100, reps=1000, seed=3)  # a miss reads nothing more
+    assert reads == [baselines._PACKAGED_PATH]
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +852,16 @@ def test_unit_root_table_rejects_short_series():
     ],
 )
 def test_unit_root_table_validates_before_drawing(monkeypatch, kwargs, error, match):
-    streams = []
+    # The other arguments are the stored table's, so validation must come
+    # before the lookup too.
+    streams, lookups = [], []
     monkeypatch.setattr(baselines, "derive_stream", lambda *key: streams.append(key))
+    monkeypatch.setattr(baselines, "_packaged_rows", lambda *args: lookups.append(args))
     args = {"n": 2500, "levels": (0.05,), "reps": 4000, "seed": 0}
     args.update(kwargs)
     with pytest.raises(error, match=match):
         unit_root_critical_table(**args)
-    assert streams == []
+    assert streams == [] and lookups == []
 
 
 def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
@@ -769,7 +877,7 @@ def test_unit_root_table_raises_worker_error_and_joins_worker(monkeypatch):
     monkeypatch.setattr(baselines, "_unit_root_stats", failing_third)
     threads = threading.active_count()
     with pytest.raises(DegenerateComponent, match="third chunk"):
-        unit_root_critical_table(300, reps=4000)
+        unit_root_critical_table(300, reps=4000, seed=1)
     assert len(chunks) == 3
     assert threading.active_count() == threads
 
@@ -1247,7 +1355,7 @@ def test_unit_root_batch_raises_worker_error_and_joins_worker(monkeypatch):
     monkeypatch.setattr(baselines, "_unit_root_stats", failing_fifth)
     threads = threading.active_count()
     with pytest.raises(DegenerateComponent, match="fifth batch"):
-        unit_root_critical_table(n=(300, 1000), reps=4000)
+        unit_root_critical_table(n=(300, 1000), reps=4000, seed=1)
     # Each chunk of 32 walks of 1000 scores 106 or 107 walks of 300, then
     # the 32 walks of 1000; nothing is scored after the error.
     assert calls == [(106, 300), (32, 1000), (107, 300), (32, 1000), (107, 300)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eigencoint import __version__, cli
+from eigencoint import __version__, baselines, cli
 from eigencoint.baselines import CriticalTable
 from eigencoint.cli import _read_panel_csv, main
 from eigencoint.harness import ExperimentPlan
@@ -237,6 +237,22 @@ def test_analyze_builds_the_unit_root_table_before_the_fit(tmp_path, monkeypatch
     argv = ["analyze", "--input", str(COINT_PAIR), "--methods", methods, "--out", str(out)]
     assert main(argv) == 0
     assert recorded == calls
+
+
+def test_default_seed_analyze_reads_the_stored_unit_root_row(tmp_path, monkeypatch):
+    # 300 is a stored length, so at the default --seed 0 no walk is drawn.
+    panel = tmp_path / "walks.csv"
+    walks = np.cumsum(np.random.default_rng(0).standard_normal((300, 3)), axis=0)
+    np.savetxt(panel, walks, delimiter=",")
+
+    def no_stream(*key):
+        raise AssertionError(f"drew stream {key}")
+
+    monkeypatch.setattr(baselines, "derive_stream", no_stream)
+    out = tmp_path / "r.json"
+    argv = ["analyze", "--input", str(panel), "--methods", "unitroot", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["ranks"].keys() == {"unitroot"}
 
 
 def test_analyze_rejects_repeated_methods(tmp_path, capsys, monkeypatch):
