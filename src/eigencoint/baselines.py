@@ -4,15 +4,16 @@ Both baselines use critical values simulated inside the package (from seeded
 streams recorded in the table metadata) rather than hard-coded external
 tables, so every reported number is reproducible from seeds alone.  Each
 table has one plain function, :func:`trace_critical_table` and
-:func:`unit_root_critical_table`: it checks its own arguments (the checks
-both share in one helper), then returns the packaged rows if the default
-tables shipped in ``data/critical_default.json`` cover the request, and
-otherwise calls its sampler and turns the samples into quantiles through
-one small helper.  The packaged tables were simulated by that same path
-(``tools/build_critical_tables.py`` rebuilds them), so a stored row is
-bitwise the row a simulation would give.  Each returns one table whose dims
-are its sizes: dimensions for the trace table, series lengths for the
-unit-root table.  The trace table scores every dimension from one nested
+:func:`unit_root_critical_table`, whose one body checks its own arguments
+(the checks both share in one helper), builds the table's ``meta``, returns
+the packaged rows if the default tables shipped in
+``data/critical_default.json`` cover the request, and otherwise calls its
+sampler and turns the samples into quantiles through one small helper.
+``tools/build_critical_tables.py`` rebuilds the packaged tables by calling
+these two functions at their defaults with no stored table, so a stored
+row was computed by the very lines a miss runs.  Each returns one table
+whose dims are its sizes: dimensions for the trace table, series lengths
+for the unit-root table.  The trace table scores every dimension from one nested
 draw: column ``c`` of each repetition comes from ``derive_stream(seed, c)``,
 and dimension ``d`` uses columns ``1..d``.  The unit-root table reads every
 length's walks from the start of the one stream ``derive_stream(seed, 1)``,
@@ -126,6 +127,11 @@ def derive_stream(seed: int, *key: int) -> np.random.Generator:
 class CriticalTable:
     """Simulated critical values over dimensions and quantile levels.
 
+    Each field is stored in one form, whatever sequence it was given as:
+    a table built from nested lists (published values typed in) equals one
+    built from arrays, and :meth:`from_dict` passes the JSON fields on as
+    they are.
+
     Attributes
     ----------
     dims : tuple of int
@@ -135,13 +141,14 @@ class CriticalTable:
         statistic.
     levels : tuple of float
         Test sizes, e.g. ``(0.05,)``.
-    values : ndarray, shape (len(dims), len(levels))
+    values : ndarray of float, shape (len(dims), len(levels))
         Rejection boundaries (``ValueError`` unless finite and of this
-        shape).  Upper-tail statistics (trace) store the ``1 - level``
-        quantile; lower-tail statistics (unit root) the ``level`` one.
+        shape; an empty ``[]`` is the table without dims).  Upper-tail
+        statistics (trace) store the ``1 - level`` quantile; lower-tail
+        statistics (unit root) the ``level`` one.
     meta : dict
-        Provenance: repetitions, seed, statistic name (and the trace ``T``
-        and sampler tag).
+        Provenance, a copy of the one given: repetitions, seed, statistic
+        name (and the trace ``T`` and sampler tag).
     """
 
     dims: tuple
@@ -153,10 +160,17 @@ class CriticalTable:
         dims = tuple(_integer("dim", d) for d in self.dims)
         if any(a >= b for a, b in zip(dims, dims[1:])):
             raise ValueError(f"need strictly ascending dims, got {list(self.dims)}")
-        object.__setattr__(self, "dims", dims)
-        shape = (len(self.dims), len(self.levels))
-        if np.shape(self.values) != shape or not np.isfinite(self.values).all():
+        levels = tuple(float(lv) for lv in self.levels)
+        values = np.asarray(self.values, dtype=float)
+        if values.shape == (0,):  # ``[]``, as JSON holds a table without dims
+            values = values.reshape(0, len(levels))
+        shape = (len(dims), len(levels))
+        if values.shape != shape or not np.isfinite(values).all():
             raise ValueError(f"need finite values of shape {shape}, got {self.values!r}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "meta", dict(self.meta))
 
     def value(self, dim: int, level: float) -> float:
         """Look up the critical value for ``(dim, level)``."""
@@ -177,7 +191,7 @@ class CriticalTable:
         if old != new:
             tag = "no sampler tag" if old is None else f"sampler tag {old!r}"
             why = f"it has {tag}, from an older sampler than {new!r}"
-        elif tuple(self.levels) != tuple(other.levels):
+        elif self.levels != other.levels:
             why = f"its levels {list(self.levels)} are not this run's {list(other.levels)}"
         elif self.meta != other.meta:
             differ = [f"{key} {self.meta.get(key)!r} vs {other.meta.get(key)!r}"
@@ -188,9 +202,7 @@ class CriticalTable:
             rows = {d: self.values[i] for i, d in enumerate(self.dims)}
             rows.update({d: other.values[i] for i, d in enumerate(other.dims)})
             dims = tuple(sorted(rows))
-            values = np.array([rows[d] for d in dims], dtype=float)
-            values = values.reshape(len(dims), len(self.levels))  # (0, levels) without dims
-            return CriticalTable(dims, tuple(self.levels), values, dict(self.meta))
+            return CriticalTable(dims, self.levels, [rows[d] for d in dims], self.meta)
         raise ValueError(f"cannot merge tables with different levels or meta: {why}")
 
     def to_dict(self) -> dict:
@@ -204,13 +216,7 @@ class CriticalTable:
     @classmethod
     def from_dict(cls, data: dict) -> "CriticalTable":
         """The table :meth:`to_dict` wrote; raises on anything else."""
-        values = np.asarray(data["values"], dtype=float)
-        return cls(
-            dims=data["dims"],
-            levels=tuple(float(lv) for lv in data["levels"]),
-            values=values.reshape(0, len(data["levels"])) if values.shape == (0,) else values,
-            meta=dict(data["meta"]),
-        )
+        return cls(data["dims"], data["levels"], data["values"], data["meta"])
 
 
 def _chunk_reps(row: int) -> int:
@@ -451,20 +457,8 @@ def _packaged_rows(dims, levels, meta: dict) -> Optional[CriticalTable]:
     for table in _packaged_tables():
         if table.meta == meta and table.levels == levels and set(dims) <= set(table.dims):
             rows = [table.dims.index(d) for d in dims]
-            return CriticalTable(dims, levels, table.values[rows], dict(meta))
+            return CriticalTable(dims, levels, table.values[rows], meta)
     return None
-
-
-def _trace_meta(T: int, reps: int, seed: int) -> dict:
-    return {"T": T, "reps": reps, "seed": seed, "statistic": "trace", "sampler": "nested-dot"}
-
-
-def _simulate_trace_table(dims, levels, T: int, reps: int, seed: int) -> CriticalTable:
-    """The trace table for checked arguments, always simulated: a lookup
-    miss of :func:`trace_critical_table` and the table build both run it."""
-    samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
-    meta = _trace_meta(T, reps, seed)
-    return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
 
 
 def trace_critical_table(
@@ -478,14 +472,14 @@ def trace_critical_table(
     whole number: ``2.0`` is ``2``), then every level, ``T``, ``reps`` and
     the seed are validated first.  At the defaults (``T=1000``, 2000 reps,
     seed 0, levels ``(0.05,)``) with every dim at most 60, the rows are
-    read from the package's stored table, which was simulated the same
-    way, and no stream is drawn.  Otherwise all dims are scored from one
-    nested draw (:func:`_trace_stat_sample`, looked up at call time):
-    column ``c`` of each repetition comes from the stream
-    ``derive_stream(seed, c)``, and dim ``d`` uses columns ``1..d``.  A
-    row therefore depends only on ``(seed, T, reps, d)``, so a table built
-    for dims 1..8 agrees exactly with one built for dims 1..3 under the
-    same seed.  Values increase with dimension at fixed level.
+    read from the package's stored table, which this function computed
+    when called with no stored table, and no stream is drawn.  Otherwise
+    all dims are scored from one nested draw (:func:`_trace_stat_sample`,
+    looked up at call time): column ``c`` of each repetition comes from
+    the stream ``derive_stream(seed, c)``, and dim ``d`` uses columns
+    ``1..d``.  A row therefore depends only on ``(seed, T, reps, d)``, so
+    a table built for dims 1..8 agrees exactly with one built for dims
+    1..3 under the same seed.  Values increase with dimension at fixed level.
     ``meta["sampler"]`` is ``"nested-dot"``, so that a table cached by an
     earlier sampler (untagged, or ``"nested"``, whose products rounded
     differently) never merges with one built by this one.
@@ -496,8 +490,12 @@ def trace_critical_table(
         if dim < 1:
             raise ValueError(f"need dim >= 1, got {dim}")
     (T,), reps, seed = _check_table_args(levels, _check_trace_T, (T,), reps, seed)
-    stored = _packaged_rows(dims, levels, _trace_meta(T, reps, seed))
-    return stored if stored is not None else _simulate_trace_table(dims, levels, T, reps, seed)
+    meta = {"T": T, "reps": reps, "seed": seed, "statistic": "trace", "sampler": "nested-dot"}
+    stored = _packaged_rows(dims, levels, meta)
+    if stored is not None:
+        return stored
+    samples = _trace_stat_sample(dims, T, reps, seed) if dims else np.empty((0, reps))
+    return _quantile_table(samples, dims, levels, [1.0 - lv for lv in levels], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +702,6 @@ def _unit_root_stats(
     return t_eff * (rho - 1.0) - (lam2 - gamma0) / (2.0 * ss_w / t_eff**2)
 
 
-def _unit_root_meta(reps: int, seed: int) -> dict:
-    return {"reps": reps, "seed": seed, "statistic": "unit_root"}
-
-
-def _simulate_unit_root_table(lengths, levels, reps: int, seed: int) -> CriticalTable:
-    """The unit-root table for checked arguments, always simulated: a lookup
-    miss of :func:`unit_root_critical_table` and the table build both run
-    it."""
-    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
-    return _quantile_table(samples, lengths, levels, list(levels), _unit_root_meta(reps, seed))
-
-
 def unit_root_critical_table(
     n, levels=(DEFAULT_LEVEL,), reps: int = DEFAULT_UNIT_ROOT_REPS, seed: int = 0
 ) -> CriticalTable:
@@ -727,13 +713,14 @@ def unit_root_critical_table(
     :func:`trace_critical_table` sorts its dims, and it stores lower-tail
     (``level``) quantiles.  At the defaults (4000 reps, seed 0, levels
     ``(0.05,)``) with every length one of 300, 500, 1000, 1500, 2000 and
-    2500, the rows are read from the package's stored table, which was
-    simulated the same way, and no stream is drawn.  Any other request is
-    simulated: every length reads its walks from the start of the one
-    stream ``derive_stream(seed, 1)``, so one pass of it
-    (:func:`_unit_root_stat_sample`, looked up at call time) serves every
-    length, and a row depends only on ``(seed, reps, n)``: it is bitwise
-    that of one walk at a time, and that of a table for its length alone.
+    2500, the rows are read from the package's stored table, which this
+    function computed when called with no stored table, and no stream is
+    drawn.  Any other request is simulated: every length reads its walks
+    from the start of the one stream ``derive_stream(seed, 1)``, so one
+    pass of it (:func:`_unit_root_stat_sample`, looked up at call time)
+    serves every length, and a row depends only on ``(seed, reps, n)``: it
+    is bitwise that of one walk at a time, and that of a table for its
+    length alone.
     ``meta`` is ``{reps, seed, statistic}``.
 
     Every argument is validated before the stored table is consulted or
@@ -752,8 +739,12 @@ def unit_root_critical_table(
     lengths = tuple(sorted({_integer("n", size) for size in ((n,) if np.ndim(n) == 0 else n)}))
     levels = tuple(float(lv) for lv in levels)
     lengths, reps, seed = _check_table_args(levels, _check_unit_root_n, lengths, reps, seed)
-    stored = _packaged_rows(lengths, levels, _unit_root_meta(reps, seed))
-    return stored if stored is not None else _simulate_unit_root_table(lengths, levels, reps, seed)
+    meta = {"reps": reps, "seed": seed, "statistic": "unit_root"}
+    stored = _packaged_rows(lengths, levels, meta)
+    if stored is not None:
+        return stored
+    samples = _unit_root_stat_sample(lengths, reps, seed) if lengths else np.empty((0, reps))
+    return _quantile_table(samples, lengths, levels, list(levels), meta)
 
 
 def _unit_root_stat_sample(ns, reps: int, seed: int) -> np.ndarray:

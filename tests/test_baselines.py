@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,7 @@ META = {"T": 100, "reps": 1000, "seed": 0, "statistic": "trace"}
 
 
 def hand_table(dims, values, levels=(0.05,)):
-    return CriticalTable(
-        dims=tuple(dims),
-        levels=tuple(levels),
-        values=np.atleast_2d(np.asarray(values, dtype=float)),
-        meta=dict(META),
-    )
+    return CriticalTable(dims=dims, levels=levels, values=values, meta=META)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +93,28 @@ def test_merged_tables_without_dims_is_empty():
     both = empty.merged(one)
     assert both.dims == (2,)
     assert_array_equal(both.values, [[15.0]])
+
+
+def test_table_from_lists_equals_table_from_arrays():
+    # Published values are typed in as nested lists.
+    typed = CriticalTable(dims=(1, 2), levels=[0.05], values=[[1.0], [2.0]], meta={})
+    assert typed.value(2, 0.05) == 2.0
+    assert typed.levels == (0.05,)
+    assert typed.values.dtype == float
+    built = CriticalTable(dims=(1, 2), levels=(0.05,), values=np.array([[1.0], [2.0]]), meta={})
+    assert typed.to_dict() == built.to_dict()
+    again = CriticalTable.from_dict(typed.to_dict())
+    assert (again.dims, again.levels, again.meta) == (typed.dims, typed.levels, typed.meta)
+    assert again.values.tobytes() == typed.values.tobytes()
+    empty = CriticalTable(dims=(), levels=(0.05,), values=[], meta={})
+    assert empty.values.shape == (0, 1)
+
+
+def test_table_keeps_its_own_meta():
+    meta = dict(META)
+    table = CriticalTable(dims=(1,), levels=(0.05,), values=[[3.0]], meta=meta)
+    meta["seed"] = 99
+    assert table.meta == META
 
 
 def test_table_json_round_trip():
@@ -284,9 +303,10 @@ def test_trace_table_values_increase_with_dimension(trace_table):
     assert col[0] < col[1] < col[2]
 
 
-def test_trace_table_subset_rows_agree_bitwise(trace_table):
+def test_trace_table_subset_rows_agree_bitwise(monkeypatch, trace_table):
     # Simulated: at these defaults trace_critical_table reads stored rows.
-    sub = baselines._simulate_trace_table((2,), (0.05,), 1000, 2000, 0)
+    monkeypatch.setattr(baselines, "_packaged", ())
+    sub = trace_critical_table(dims=(2,), T=1000, reps=2000, seed=0)
     assert_array_equal(sub.values[0], trace_table.values[1])
 
 
@@ -430,6 +450,8 @@ def test_trace_table_validates_every_dim_before_simulating(monkeypatch):
 # the default tables stored in the package
 
 STORED_LENGTHS = (300, 500, 1000, 1500, 2000, 2500)
+TRACE_META = {"T": 1000, "reps": 2000, "seed": 0, "statistic": "trace", "sampler": "nested-dot"}
+UNIT_ROOT_META = {"reps": 4000, "seed": 0, "statistic": "unit_root"}
 
 
 def refuse_streams(monkeypatch):
@@ -447,13 +469,15 @@ def test_stored_tables_are_the_default_tables():
     trace, unit_root = baselines._packaged_tables()
     assert trace.dims == tuple(range(1, 61)) and unit_root.dims == STORED_LENGTHS
     assert trace.levels == unit_root.levels == (0.05,)
-    assert trace.meta == baselines._trace_meta(1000, 2000, 0)
-    assert unit_root.meta == baselines._unit_root_meta(4000, 0)
+    assert trace.meta == TRACE_META
+    assert unit_root.meta == UNIT_ROOT_META
 
 
 def test_stored_rows_equal_a_fresh_simulation(monkeypatch):
-    fresh_trace = baselines._simulate_trace_table((1, 2, 3), (0.05,), 1000, 2000, 0)
-    fresh_unit_root = baselines._simulate_unit_root_table((300,), (0.05,), 4000, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(baselines, "_packaged", ())  # every request simulates
+        fresh_trace = trace_critical_table(dims=(1, 2, 3))
+        fresh_unit_root = unit_root_critical_table(300)
     refuse_streams(monkeypatch)
     for stored, fresh in ((trace_critical_table(dims=(1, 2, 3)), fresh_trace),
                           (unit_root_critical_table(300), fresh_unit_root)):
@@ -492,22 +516,27 @@ def test_default_tables_draw_no_stream(monkeypatch):
 ], ids=kwargs_id)
 def test_requests_outside_the_stored_tables_simulate(monkeypatch, table, kwargs):
     calls = []
-    name = "_simulate_trace_table" if table == "trace" else "_simulate_unit_root_table"
-    monkeypatch.setattr(baselines, name, lambda *args: calls.append(args) or "simulated")
+
+    def sample(sizes, *args):
+        calls.append(args)
+        return np.full((len(sizes), 1), 7.0)
+
+    name = "_trace_stat_sample" if table == "trace" else "_unit_root_stat_sample"
+    monkeypatch.setattr(baselines, name, sample)
     if table == "trace":
         args = {"dims": (1, 2), **kwargs}
-        assert trace_critical_table(**args) == "simulated"
+        simulated = trace_critical_table(**args)
     else:
         args = {"n": 300, **kwargs}
-        assert unit_root_critical_table(**args) == "simulated"
+        simulated = unit_root_critical_table(**args)
+    assert (simulated.values == 7.0).all()
     assert len(calls) == 1
 
 
 def test_stored_table_serves_only_its_whole_meta():
-    meta = baselines._trace_meta(1000, 2000, 0)
-    assert baselines._packaged_rows((1,), (0.05,), meta) is not None
+    assert baselines._packaged_rows((1,), (0.05,), TRACE_META) is not None
     for key, value in (("sampler", "nested-chol"), ("statistic", "unit_root"), ("extra", 1)):
-        assert baselines._packaged_rows((1,), (0.05,), {**meta, key: value}) is None
+        assert baselines._packaged_rows((1,), (0.05,), {**TRACE_META, key: value}) is None
     assert baselines._packaged_rows((300,), (0.05,), {"reps": 4000, "seed": 0}) is None
 
 
@@ -520,6 +549,32 @@ def test_stored_tables_are_read_once_per_process(monkeypatch):
     unit_root_critical_table(300)
     trace_critical_table(dims=(1,), T=100, reps=1000, seed=3)  # a miss reads nothing more
     assert reads == [baselines._PACKAGED_PATH]
+
+
+def test_build_script_asks_for_the_committed_tables(monkeypatch):
+    # The samplers are cheap stand-ins: this pins what the script requests
+    # (sizes, levels, meta); CI's rebuild-and-cmp step pins the bits.
+    calls = []
+
+    def stand_in(sizes, *args):
+        calls.append(args)
+        return np.zeros((len(sizes), 1000))
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/
+    monkeypatch.setattr(baselines, "_packaged", baselines._packaged)  # build() empties it
+    monkeypatch.setattr(baselines, "_trace_stat_sample", stand_in)
+    monkeypatch.setattr(baselines, "_unit_root_stat_sample", stand_in)
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_critical_tables.py"
+    spec = importlib.util.spec_from_file_location("build_critical_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = [CriticalTable.from_dict(entry) for entry in json.loads(script.build())]
+    with open(baselines._PACKAGED_PATH, encoding="utf-8") as fh:
+        committed = [CriticalTable.from_dict(entry) for entry in json.load(fh)]
+    assert len(calls) == 2  # both tables missed and were simulated
+    assert ([(t.dims, t.levels, t.meta) for t in built]
+            == [(t.dims, t.levels, t.meta) for t in committed])
+    assert script.UNIT_ROOT_LENGTHS == STORED_LENGTHS
 
 
 # ---------------------------------------------------------------------------
